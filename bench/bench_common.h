@@ -10,6 +10,19 @@
 #include "exact/brandes.h"
 #include "graph/csr_graph.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
+
+// Build facts the bench targets are compiled with (CMakeLists.txt); other
+// includers, such as the self-contained-header check, get placeholders.
+#ifndef MHBC_BENCH_COMPILER
+#define MHBC_BENCH_COMPILER "unknown"
+#endif
+#ifndef MHBC_BENCH_BUILD_TYPE
+#define MHBC_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef MHBC_BENCH_FLAGS
+#define MHBC_BENCH_FLAGS "unknown"
+#endif
 
 /// \file
 /// Shared helpers for the experiment harnesses (bench_e*). Each harness
@@ -54,10 +67,17 @@ inline void Banner(const char* id, const char* what) {
 /// free-form metadata) a harness prints and writes them as
 /// `BENCH_<id>.json` next to the markdown, i.e. into the working
 /// directory, so the perf trajectory is diffable/trackable across PRs
-/// without scraping stdout.
+/// without scraping stdout. Every report opens its metadata with the host
+/// it ran on — hardware threads, compiler, build type and flags — since a
+/// timing row only compares with rows from the same host and build.
 class JsonReport {
  public:
-  explicit JsonReport(std::string bench_id) : bench_id_(std::move(bench_id)) {}
+  explicit JsonReport(std::string bench_id) : bench_id_(std::move(bench_id)) {
+    AddMeta("host_nproc", std::to_string(ResolveThreadCount(0)));
+    AddMeta("compiler", MHBC_BENCH_COMPILER);
+    AddMeta("build_type", MHBC_BENCH_BUILD_TYPE);
+    AddMeta("cxx_flags", MHBC_BENCH_FLAGS);
+  }
 
   /// Records a context key/value pair (graph size, seed, host threads...).
   void AddMeta(const std::string& key, const std::string& value) {

@@ -20,7 +20,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -73,8 +72,6 @@ int main(int argc, char** argv) {
   bench::JsonReport json("e18_parallel_scaling");
   json.AddMeta("n", FormatCount(graph.num_vertices()));
   json.AddMeta("m", FormatCount(graph.num_edges()));
-  json.AddMeta("hardware_threads",
-               std::to_string(std::thread::hardware_concurrency()));
   json.AddMeta("chains", std::to_string(chains));
   json.AddMeta("iterations", FormatCount(iterations));
   json.AddMeta("many_vertices", std::to_string(many_vertices));
@@ -82,7 +79,7 @@ int main(int argc, char** argv) {
   std::printf("graph: BA n=%u m=%llu, hardware threads: %u\n",
               graph.num_vertices(),
               static_cast<unsigned long long>(graph.num_edges()),
-              std::thread::hardware_concurrency());
+              ResolveThreadCount(0));
 
   // ---------------------------------------------------- multi-chain MH
   MhOptions mh_options;

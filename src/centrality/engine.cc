@@ -118,16 +118,25 @@ BetweennessEngine::~BetweennessEngine() = default;
 
 // ------------------------------------------------------------ lazy state
 
+namespace {
+
+// Bytes one dependency-memo entry costs on `graph`: the memoized vector (n
+// doubles) plus the pass distances kept for ApplyDelta's selective
+// invalidation (n u32 hop distances unweighted, n double weighted
+// distances weighted).
+std::size_t DependencyEntryBytes(const CsrGraph& graph) {
+  return static_cast<std::size_t>(graph.num_vertices()) *
+         (graph.weighted() ? sizeof(double) + sizeof(double)
+                           : sizeof(double) + sizeof(std::uint32_t));
+}
+
+}  // namespace
+
 std::size_t BetweennessEngine::DependencyCacheEntries(
     const CsrGraph& graph) const {
-  // Entry capacity from the byte budget: one memoized vector costs n
-  // doubles, plus the pass distances kept for ApplyDelta's selective
-  // invalidation (n u32 hop distances unweighted, n double weighted
-  // distances weighted); more than n entries can never be used.
-  const std::size_t bytes_per_entry =
-      static_cast<std::size_t>(graph.num_vertices()) *
-      (graph.weighted() ? sizeof(double) + sizeof(double)
-                        : sizeof(double) + sizeof(std::uint32_t));
+  // Entry capacity from the byte budget; more than n entries can never be
+  // used.
+  const std::size_t bytes_per_entry = DependencyEntryBytes(graph);
   if (bytes_per_entry == 0) return 0;
   return std::min<std::size_t>(
       options_.dependency_cache_bytes / bytes_per_entry,
@@ -205,8 +214,8 @@ void BetweennessEngine::EnsureShards() {
   // One fully sequential engine per pool worker. Shards split the memo
   // byte budget so the engine's total cache footprint stays within the
   // configured bound no matter how wide the pool is — but never below one
-  // entry (n doubles), or a large graph would silently disable shard
-  // memoization entirely. 0 stays 0: caching explicitly off.
+  // entry, or a large graph would silently disable shard memoization
+  // entirely. 0 stays 0: caching explicitly off.
   EngineOptions shard_options = options_;
   shard_options.num_threads = 1;
   // Shards are the parallel axis of a fan-out; their passes must stay
@@ -214,11 +223,10 @@ void BetweennessEngine::EnsureShards() {
   shard_options.spd.num_threads = 1;
   shard_options.dependency_cache_bytes =
       options_.dependency_cache_bytes / resolved_threads();
-  const std::size_t one_entry_bytes =
-      static_cast<std::size_t>(graph_->num_vertices()) * sizeof(double);
   if (options_.dependency_cache_bytes > 0) {
     shard_options.dependency_cache_bytes =
-        std::max(shard_options.dependency_cache_bytes, one_entry_bytes);
+        std::max(shard_options.dependency_cache_bytes,
+                 DependencyEntryBytes(*graph_));
   }
   shards_.reserve(pool()->num_threads());
   for (unsigned w = 0; w < pool()->num_threads(); ++w) {

@@ -25,6 +25,14 @@
 /// clipped ratios min{1, delta_v(ri)/delta_v(rj)} for *all* pairs at no
 /// extra pass cost. Per iteration: exactly one pass, as in §4.2.
 ///
+/// Random-stream layout: as in the single-space chain
+/// (core/mh_betweenness.h), the accept test draws a uniform only when its
+/// probability lies strictly inside (0, 1) — Rng::NextBernoulli draws
+/// nothing at p <= 0 or p >= 1 — so the stream position of step t+1's
+/// proposal (r', v') depends on pass t. Computing passes ahead of the
+/// chain therefore needs a separate proposal stream (a new determinism
+/// key) or speculation.
+///
 /// This is the Bennett acceptance-ratio construction from statistical
 /// physics ([5]) that the paper imports: ratios of normalizing constants
 /// (here: betweenness scores) from per-space clipped-ratio averages.

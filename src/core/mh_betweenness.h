@@ -25,6 +25,18 @@
 /// the current state's dependency is cached), so T iterations cost T + 1
 /// passes — the "worst case time complexity of processing each sample is
 /// O(|E|)" claim of §4.2.
+///
+/// Random-stream layout: step t draws its proposal, then one uniform for
+/// the accept test — but only when the acceptance probability lies
+/// strictly inside (0, 1), because Rng::NextBernoulli draws nothing at
+/// p <= 0 or p >= 1. Whether it draws depends on pass t's dependency
+/// value, so the stream position of step t+1's proposal depends on pass
+/// t. Proposals are iid in distribution but not in stream position:
+/// passes cannot be computed ahead of the chain bit-identically. Batching
+/// passes ahead (e.g. a multi-source BFS) needs a separate proposal
+/// stream, which changes the determinism key (every estimate moves), or
+/// speculation that discards work when a certain accept/reject shifts the
+/// stream. tests/rng_test.cc pins the no-draw behavior.
 
 namespace mhbc {
 

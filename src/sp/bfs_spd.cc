@@ -8,6 +8,21 @@
 
 namespace mhbc {
 
+namespace {
+
+// CanonicalizeLevel's cost test: a level goes through the level bitmap
+// only when its word span is at most kBitmapMaxWordsPerId words per id,
+// which bounds the drain's word reads per id. A sparser level (a narrow
+// frontier scattered over the id space) keeps std::sort.
+constexpr std::size_t kBitmapMaxWordsPerId = 16;
+
+// Run's reset rule: a previous pass that reached at least n /
+// kBulkResetDivisor vertices is undone with whole-array fills (sequential
+// stores), a smaller one through its touched list.
+constexpr std::size_t kBulkResetDivisor = 8;
+
+}  // namespace
+
 BfsSpd::BfsSpd(const CsrGraph& graph, SpdOptions options)
     : graph_(&graph), options_(options) {
   const VertexId n = graph.num_vertices();
@@ -17,6 +32,7 @@ BfsSpd::BfsSpd(const CsrGraph& graph, SpdOptions options)
   dag_.weighted = false;
   frontier_.reserve(n);
   next_.reserve(n);
+  level_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
   // num_threads == 0 means "inherit": standalone construction has nothing
   // to inherit from, so it stays sequential; an owning engine substitutes
   // its resolved count before constructing us (see BetweennessEngine).
@@ -28,14 +44,25 @@ BfsSpd::~BfsSpd() = default;
 
 void BfsSpd::Run(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
-  // Reset only what the previous pass touched.
+  // Undo the previous pass. A pass that reached a large share of the graph
+  // is cheaper to undo with whole-array fills than with scattered stores
+  // through its touched list; the result is the same either way.
   const bool reset_bitmap = !visited_.empty();
   const bool reset_preds = dag_.has_predecessors;
-  for (VertexId v : dag_.order) {
-    dag_.dist[v] = kUnreachedDistance;
-    dag_.sigma[v] = 0;
-    if (reset_bitmap) ClearVisited(v);
-    if (reset_preds) dag_.pred_count[v] = 0;
+  if (dag_.order.size() >= graph_->num_vertices() / kBulkResetDivisor) {
+    std::fill(dag_.dist.begin(), dag_.dist.end(), kUnreachedDistance);
+    std::fill(dag_.sigma.begin(), dag_.sigma.end(), SigmaCount{0});
+    if (reset_bitmap) std::fill(visited_.begin(), visited_.end(), 0);
+    if (reset_preds) {
+      std::fill(dag_.pred_count.begin(), dag_.pred_count.end(), 0);
+    }
+  } else {
+    for (VertexId v : dag_.order) {
+      dag_.dist[v] = kUnreachedDistance;
+      dag_.sigma[v] = 0;
+      if (reset_bitmap) ClearVisited(v);
+      if (reset_preds) dag_.pred_count[v] = 0;
+    }
   }
   dag_.order.clear();
   dag_.level_offsets.clear();
@@ -97,7 +124,7 @@ void BfsSpd::RunClassic(VertexId source) {
       // Canonicalize the next level: ascending vertex id, so the stored
       // order (and the frontier the next iteration expands, which fixes
       // the sigma fold) is independent of discovery order.
-      std::sort(next_.begin(), next_.end());
+      CanonicalizeLevel(&next_);
     }
     frontier_.swap(next_);
     frontier_edges = next_edges;
@@ -147,13 +174,14 @@ void BfsSpd::RunHybrid(VertexId source) {
     // this frontier top-down examines m_f edges (the frontier's degree
     // sum); bottom-up examines m_u (the unvisited vertices' degree sum)
     // but at a per-edge cost alpha times cheaper — the bottom-up loop is a
-    // sequential ascending scan with no discovery bookkeeping and no
-    // frontier sort. So bottom-up is the profitable direction for a level
-    // exactly when m_f * alpha > m_u; the exit test is the negation, and
-    // entry is additionally gated on a growing frontier (a shrinking one
-    // is draining a tail top-down handles better — without this gate,
-    // plateaued frontiers on high-diameter graphs flap directions for zero
-    // savings). Beamer's n/beta tail rule is kept as a secondary exit.
+    // sequential ascending scan with no discovery bookkeeping that emits
+    // its level already in canonical order. So bottom-up is the profitable
+    // direction for a level exactly when m_f * alpha > m_u; the exit test
+    // is the negation, and entry is additionally gated on a growing
+    // frontier (a shrinking one is draining a tail top-down handles better
+    // — without this gate, plateaued frontiers on high-diameter graphs
+    // flap directions for zero savings). Beamer's n/beta tail rule is kept
+    // as a secondary exit.
     const bool growing = frontier_.size() >= prev_frontier_size;
     const bool profitable =
         options_.alpha > 0.0 &&
@@ -238,7 +266,7 @@ void BfsSpd::RunHybrid(VertexId source) {
             }
           }
         }
-        std::sort(next_.begin(), next_.end());
+        CanonicalizeLevel(&next_);
       }
     }
     unexplored_edges -= next_in_edges;
@@ -248,6 +276,32 @@ void BfsSpd::RunHybrid(VertexId source) {
   }
   dag_.level_offsets.push_back(dag_.order.size());
   dag_.has_predecessors = true;
+}
+
+void BfsSpd::CanonicalizeLevel(std::vector<VertexId>* ids) {
+  if (ids->size() < 2) return;
+  const auto [lo, hi] = std::minmax_element(ids->begin(), ids->end());
+  const std::size_t word_begin = *lo >> 6;
+  const std::size_t word_end = (*hi >> 6) + 1;
+  if (word_end - word_begin > kBitmapMaxWordsPerId * ids->size()) {
+    std::sort(ids->begin(), ids->end());
+    return;
+  }
+  // Ids are distinct, so the bitmap holds each once; reading the span's
+  // words in order yields them ascending, and the count comes out equal.
+  for (VertexId v : *ids) {
+    level_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
+  }
+  VertexId* out = ids->data();
+  for (std::size_t word = word_begin; word < word_end; ++word) {
+    std::uint64_t bits = level_bits_[word];
+    if (bits == 0) continue;
+    level_bits_[word] = 0;
+    while (bits != 0) {
+      *out++ = static_cast<VertexId>((word << 6) + std::countr_zero(bits));
+      bits &= bits - 1;
+    }
+  }
 }
 
 void BfsSpd::EnsureParallelScratch() {
@@ -268,7 +322,6 @@ void BfsSpd::EnsureParallelScratch() {
   range_next_.resize(num_ranges_);
   range_edges_.assign(num_ranges_, 0);
   range_in_edges_.assign(num_ranges_, 0);
-  frontier_bits_.assign(n_words, 0);
 }
 
 std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
@@ -335,8 +388,10 @@ std::uint64_t BfsSpd::TopDownLevelParallel(std::uint32_t depth,
           bucket.clear();
         }
         // Ranges partition the id space in order, so locally sorted
-        // segments concatenate into the globally sorted next frontier.
-        std::sort(seg.begin(), seg.end());
+        // segments concatenate into the globally sorted next frontier. The
+        // segment's ids, and so the level-bitmap words CanonicalizeLevel
+        // touches, lie in this 64-aligned range: no other owner writes them.
+        CanonicalizeLevel(&seg);
         range_edges_[range] = seg_edges;
         range_in_edges_[range] = seg_in_edges;
       },
@@ -353,13 +408,13 @@ std::uint64_t BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
                                             std::uint64_t tail_mask,
                                             std::uint64_t* next_in_edges) {
   EnsureParallelScratch();
-  // Publish the current frontier as a bitmap. The parent test below must
-  // not read dist[u]: a neighbor u may be a *newly discovered* vertex
-  // whose dist another range owner is writing concurrently. Frontier bits
-  // are written before the fan-out, read-only during it, and cleared
-  // after, so the bitmap is all-zero between steps.
+  // Publish the current frontier in the level bitmap. The parent test
+  // below must not read dist[u]: a neighbor u may be a *newly discovered*
+  // vertex whose dist another range owner is writing concurrently.
+  // Frontier bits are written before the fan-out, read-only during it, and
+  // cleared after, so the bitmap is all-zero between steps.
   for (VertexId u : frontier_) {
-    frontier_bits_[u >> 6] |= std::uint64_t{1} << (u & 63);
+    level_bits_[u >> 6] |= std::uint64_t{1} << (u & 63);
   }
   const std::uint32_t word_shift = range_shift_ - 6;
   std::uint64_t next_edges = 0;
@@ -390,7 +445,7 @@ std::uint64_t BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
             std::uint32_t parents = 0;
             const std::size_t base = dag_.pred_begin[v];
             for (VertexId u : graph_->in_neighbors(v)) {
-              if ((frontier_bits_[u >> 6] >> (u & 63)) & 1) {
+              if ((level_bits_[u >> 6] >> (u & 63)) & 1) {
                 sv += dag_.sigma[u];
                 dag_.pred_storage[base + parents++] = u;
               }
@@ -416,7 +471,7 @@ std::uint64_t BfsSpd::BottomUpLevelParallel(std::uint32_t depth,
         *next_in_edges += range_in_edges_[range];
       });
   for (VertexId u : frontier_) {
-    frontier_bits_[u >> 6] &= ~(std::uint64_t{1} << (u & 63));
+    level_bits_[u >> 6] &= ~(std::uint64_t{1} << (u & 63));
   }
   return next_edges;
 }

@@ -22,11 +22,18 @@
 ///              exact in both directions: a bottom-up step sums sigma over
 ///              a vertex's neighbors at the previous depth — the same
 ///              ascending-parent fold a top-down step performs against the
-///              sorted frontier — so dist, sigma, and the canonical order
-///              are bit-identical across kernels and α/β settings.
+///              canonical frontier — so dist, sigma, and the canonical
+///              order are bit-identical across kernels and α/β settings.
 ///
 /// Both kernels emit the canonical DAG order (ascending vertex id within
 /// each level, level slices recorded in ShortestPathDag::level_offsets).
+/// A bottom-up step discovers its level in that order. A top-down step
+/// discovers it in frontier-expansion order and canonicalizes it without a
+/// comparison sort when the level is dense enough: it sets the level's ids
+/// in a bitmap the engine owns and reads them back ascending over the
+/// level's word span, clearing as it goes. A level that is sparse next to
+/// its span (more span words per id than kBitmapMaxWordsPerId in
+/// bfs_spd.cc) keeps std::sort.
 /// The hybrid kernel additionally records explicit predecessor lists while
 /// it traverses — it inspects every parent edge anyway — which is what lets
 /// the fused backward sweep (sp/dependency.h) walk SPD edges only instead
@@ -50,8 +57,10 @@
 ///   * A bottom-up level partitions the visited bitmap by word ranges;
 ///     each owner runs the sequential scan body on its words (every write
 ///     — dist/sigma/preds/bitmap — lands in the owned range) and tests
-///     parents against a read-only frontier bitmap.
-///   * Per-range next-frontier segments are sorted locally and
+///     parents against the current frontier, published read-only in the
+///     level bitmap.
+///   * Per-range next-frontier segments are canonicalized locally (each
+///     owner drains only the level-bitmap words of its own range) and
 ///     concatenated in range order, reproducing the globally sorted
 ///     frontier the sequential kernels build.
 ///
@@ -74,11 +83,13 @@ class ThreadPool;
 
 /// Reusable BFS engine for one graph.
 ///
-/// Run(source) costs O(|E|) with no allocation after the first call: state
-/// is reset lazily via the previous pass' order. The engine is not
-/// reentrant — one Run at a time; with SpdOptions::num_threads > 1 a Run
-/// internally fans level steps out over an owned worker pool (see the
-/// intra-pass notes above), which callers can share for the fused
+/// Run(source) costs O(|E|) with no allocation after the first call. It
+/// first undoes the previous pass: with whole-array fills when that pass
+/// reached a large share of the graph (kBulkResetDivisor in bfs_spd.cc),
+/// else through its order (the touched list) in O(|reached|). The engine
+/// is not reentrant — one Run at a time; with SpdOptions::num_threads > 1
+/// a Run internally fans level steps out over an owned worker pool (see
+/// the intra-pass notes above), which callers can share for the fused
 /// dependency sweep via intra_pool(). Samplers own one instance each.
 class BfsSpd {
  public:
@@ -140,6 +151,12 @@ class BfsSpd {
   bool UseParallel(std::uint64_t level_edges) const {
     return pool_ != nullptr && level_edges >= options_.parallel_grain;
   }
+  /// Puts `ids` — one level's distinct vertex ids, in discovery order —
+  /// into ascending order through level_bits_, or std::sort when the level
+  /// is sparse next to its word span (see the file comment).
+  /// Touches only the level-bitmap words the ids span, and leaves them
+  /// zero.
+  void CanonicalizeLevel(std::vector<VertexId>* ids);
   /// Lazily sizes the destination ranges + per-shard buckets (a pure
   /// function of |V|).
   void EnsureParallelScratch();
@@ -172,6 +189,12 @@ class BfsSpd {
   /// Visited bitmap (one bit per vertex); lazily allocated by the first
   /// hybrid pass, empty otherwise.
   std::vector<std::uint64_t> visited_;
+  /// Level bitmap (one bit per vertex), all-zero between level steps. A
+  /// top-down step sets and drains a level's ids in it to canonicalize
+  /// the level; a parallel bottom-up step publishes the current frontier
+  /// in it, so the parent test never reads a dist entry another range
+  /// owner may be writing.
+  std::vector<std::uint64_t> level_bits_;
   Stats last_stats_;
   Stats total_stats_;
 
@@ -197,10 +220,6 @@ class BfsSpd {
   std::vector<std::vector<VertexId>> range_next_;
   std::vector<std::uint64_t> range_edges_;
   std::vector<std::uint64_t> range_in_edges_;
-  /// Bit-per-vertex image of the current frontier, published before a
-  /// parallel bottom-up step so the parent test never reads a dist entry
-  /// another range owner may be writing. All-zero outside a step.
-  std::vector<std::uint64_t> frontier_bits_;
 };
 
 }  // namespace mhbc

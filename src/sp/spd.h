@@ -108,8 +108,9 @@ struct ShortestPathDag {
   std::vector<SigmaCount> sigma;
   /// Vertices in settle order, source first — always a topological order
   /// of the SPD (every parent precedes every child), which is what the
-  /// backward dependency sweep needs. Doubles as the touched-list used to
-  /// reset state in O(|reached|). Unweighted passes store the *canonical*
+  /// backward dependency sweep needs. Doubles as the touched list a pass
+  /// engine can reset state through in O(|reached|) (BfsSpd does so after
+  /// small passes only). Unweighted passes store the *canonical*
   /// order — ascending vertex id within each level, independent of
   /// traversal direction; DeltaSpd weighted passes store *its* canonical
   /// order — ascending (wdist, id) within each settle wave — so the

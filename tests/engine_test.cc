@@ -102,6 +102,26 @@ TEST(EngineTest, RepeatedQueryIsServedFromCaches) {
   EXPECT_TRUE(second.value().cache_hit);
 }
 
+TEST(EngineTest, ShardMemoKeepsOneEntryUnderATinyBudget) {
+  // A sharded fan-out splits the memo budget across its workers but floors
+  // each shard at one entry. The floor must be what an entry really costs
+  // (n doubles plus n u32 hop distances on an unweighted graph); a floor
+  // below that leaves every shard with zero entries and its memo off.
+  const CsrGraph g = MakePath(4);
+  EngineOptions options;
+  options.num_threads = 2;
+  options.dependency_cache_bytes =
+      g.num_vertices() * (sizeof(double) + sizeof(std::uint32_t));
+  BetweennessEngine engine(g, options);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.samples = 64;
+  const auto reports = engine.EstimateMany({1, 2}, request);
+  ASSERT_TRUE(reports.ok());
+  // Two queries on two threads fan out, so every hit is a shard's.
+  EXPECT_GT(engine.dependency_cache_hits(), 0u);
+}
+
 TEST(EngineTest, ExactScoresComputedOnceServeEveryVertex) {
   const CsrGraph g = MakeBarbell(5, 1);
   BetweennessEngine engine(g);

@@ -103,6 +103,25 @@ TEST(RngTest, BernoulliExtremes) {
   }
 }
 
+TEST(RngTest, CertainBernoulliDrawsNothing) {
+  // The MH samplers rely on this stream shape, and it is why their passes
+  // cannot be computed ahead: an acceptance probability of 0 or 1 draws
+  // no number, so where the next proposal sits in the stream depends on
+  // the previous pass (core/mh_betweenness.h). Probabilities outside
+  // [0, 1] clamp to the same no-draw case.
+  for (double p : {0.0, 1.0, -0.5, 2.0}) {
+    Rng rng(0xBE);
+    Rng twin(0xBE);
+    EXPECT_EQ(rng.NextBernoulli(p), p >= 1.0);
+    EXPECT_EQ(rng.NextU64(), twin.NextU64()) << "p=" << p;
+  }
+  // An uncertain trial does draw: the streams part.
+  Rng rng(0xBE);
+  Rng twin(0xBE);
+  rng.NextBernoulli(0.5);
+  EXPECT_NE(rng.NextU64(), twin.NextU64());
+}
+
 TEST(RngTest, BernoulliRate) {
   Rng rng(31);
   int hits = 0;

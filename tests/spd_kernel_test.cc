@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exact/brandes.h"
@@ -261,6 +264,162 @@ void ExpectPredsIdentical(const ShortestPathDag& a,
   }
 }
 
+// ------------------------------------------------------ reference BFS
+
+/// One pass computed the plain way, sharing no code with BfsSpd: a FIFO
+/// BFS over out-edges for the distances, then every level std::sort-ed,
+/// sigma folded over each vertex's in-edge parents in ascending id, and
+/// the textbook backward sweep (levels deepest-first, ascending id within
+/// a level, ascending parents) for the dependencies.
+struct ReferencePass {
+  std::vector<std::uint32_t> dist;
+  std::vector<SigmaCount> sigma;
+  std::vector<VertexId> order;
+  std::vector<std::size_t> level_offsets;
+  std::vector<std::vector<VertexId>> preds;
+  std::vector<double> delta;
+};
+
+ReferencePass ReferenceBfs(const CsrGraph& g, VertexId source) {
+  const VertexId n = g.num_vertices();
+  ReferencePass ref;
+  ref.dist.assign(n, kUnreachedDistance);
+  ref.sigma.assign(n, 0);
+  ref.preds.resize(n);
+  ref.delta.assign(n, 0.0);
+  ref.dist[source] = 0;
+  ref.order.push_back(source);
+  for (std::size_t head = 0; head < ref.order.size(); ++head) {
+    const VertexId u = ref.order[head];
+    for (VertexId v : g.neighbors(u)) {
+      if (ref.dist[v] == kUnreachedDistance) {
+        ref.dist[v] = ref.dist[u] + 1;
+        ref.order.push_back(v);
+      }
+    }
+  }
+  // FIFO order visits the levels one after another; sort each slice.
+  for (std::size_t i = 0; i < ref.order.size(); ++i) {
+    if (i == 0 || ref.dist[ref.order[i]] != ref.dist[ref.order[i - 1]]) {
+      ref.level_offsets.push_back(i);
+    }
+  }
+  ref.level_offsets.push_back(ref.order.size());
+  for (std::size_t l = 0; l + 1 < ref.level_offsets.size(); ++l) {
+    std::sort(ref.order.begin() + static_cast<std::ptrdiff_t>(
+                                      ref.level_offsets[l]),
+              ref.order.begin() + static_cast<std::ptrdiff_t>(
+                                      ref.level_offsets[l + 1]));
+  }
+  ref.sigma[source] = 1;
+  for (VertexId v : ref.order) {
+    if (v == source) continue;
+    SigmaCount sv = 0;
+    for (VertexId u : g.in_neighbors(v)) {  // CSR slices are ascending
+      if (ref.dist[u] != kUnreachedDistance &&
+          ref.dist[u] + 1 == ref.dist[v]) {
+        sv += ref.sigma[u];
+        ref.preds[v].push_back(u);
+      }
+    }
+    ref.sigma[v] = sv;
+  }
+  for (std::size_t l = ref.level_offsets.size() - 1; l-- > 0;) {
+    for (std::size_t i = ref.level_offsets[l]; i < ref.level_offsets[l + 1];
+         ++i) {
+      const VertexId w = ref.order[i];
+      const double coeff = (1.0 + ref.delta[w]) / ref.sigma[w];
+      for (VertexId v : ref.preds[w]) ref.delta[v] += ref.sigma[v] * coeff;
+    }
+  }
+  ref.delta[source] = 0.0;
+  return ref;
+}
+
+/// Bitwise comparison of a kernel's pass (and its dependency sweep)
+/// against the reference.
+void ExpectMatchesReference(const BfsSpd& bfs, const std::vector<double>& delta,
+                            const ReferencePass& ref) {
+  const ShortestPathDag& dag = bfs.dag();
+  EXPECT_EQ(dag.dist, ref.dist);
+  EXPECT_EQ(dag.sigma, ref.sigma);
+  EXPECT_EQ(dag.order, ref.order);
+  EXPECT_EQ(dag.level_offsets, ref.level_offsets);
+  EXPECT_EQ(delta, ref.delta);
+  if (!dag.has_predecessors) return;
+  for (VertexId v : dag.order) {
+    const auto preds = dag.predecessors(v);
+    ASSERT_TRUE(std::equal(preds.begin(), preds.end(), ref.preds[v].begin(),
+                           ref.preds[v].end()))
+        << "vertex " << v;
+  }
+}
+
+/// A relabeled broom: a hub (id 0) joined to 64 parallel paths of
+/// `length` vertices. The id space past the hub is cut into 64 blocks of
+/// 4096 ids; vertex i of path j gets offset i in block j when i is even
+/// and in block 63 - j when i is odd, and the ids past the paths' ends
+/// stay isolated. From the hub, every level holds 64 ids 4096 apart: 63
+/// bitmap words per id over the whole level, and at least 32 over any
+/// range segment holding two or more of them, so these levels take the
+/// sort fallback with room to spare. Odd levels are discovered in
+/// descending id order, so a missing sort shows.
+CsrGraph MakeStridedBroom(VertexId length) {
+  constexpr VertexId kPaths = 64;
+  constexpr VertexId kStride = 4096;
+  const auto id = [](VertexId j, VertexId i) {
+    const VertexId block = i % 2 == 0 ? j : kPaths - 1 - j;
+    return 1 + block * kStride + i;
+  };
+  GraphBuilder builder(1 + kPaths * kStride);
+  for (VertexId j = 0; j < kPaths; ++j) {
+    builder.AddEdge(0, id(j, 0));
+    for (VertexId i = 0; i + 1 < length; ++i) {
+      builder.AddEdge(id(j, i), id(j, i + 1));
+    }
+  }
+  return std::move(builder.Build()).value();
+}
+
+TEST(SpdKernelTest, KernelsMatchPlainBfsReferenceOnEveryLevelShape) {
+  // The canonical order is produced by the kernels' shared level
+  // canonicalization, so classic-vs-hybrid agreement alone cannot catch a
+  // bug in it. This pins both kernels, sequential and sharded, to an
+  // independent FIFO BFS on graphs that drive every branch: small levels
+  // and single-id range segments (the grid, BA levels near the source),
+  // one level of n-1 ids (the star from its hub, source 0; 300 is not a
+  // multiple of 64), dense multi-word levels (BA, 1000 vertices), levels
+  // too sparse for the bitmap (the strided broom from its hub), and a
+  // directed graph (top-down over out-edges, parents over in-edges).
+  std::vector<std::pair<std::string, CsrGraph>> graphs;
+  graphs.emplace_back("grid", MakeGrid(9, 23));
+  graphs.emplace_back("star", MakeStar(300));
+  graphs.emplace_back("ba", MakeBarabasiAlbert(1000, 3, 0x1E7));
+  graphs.emplace_back("strided-broom", MakeStridedBroom(300));
+  graphs.emplace_back("directed", MakeRandomDirected(700, 4000, 0xD1));
+  for (const auto& [name, g] : graphs) {
+    const VertexId n = g.num_vertices();
+    const std::vector<VertexId> sources = {0, n / 3, n - 1};
+    std::vector<ReferencePass> refs;
+    for (VertexId s : sources) refs.push_back(ReferenceBfs(g, s));
+    for (const SpdOptions& base : {Classic(), Hybrid()}) {
+      for (unsigned threads : {1u, 4u}) {
+        BfsSpd bfs(g, WithThreads(base, threads));
+        DependencyAccumulator acc(g, bfs.intra_pool(), /*parallel_grain=*/0);
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          SCOPED_TRACE(name + " kernel=" +
+                       (base.kernel == SpdKernel::kClassic ? "classic"
+                                                           : "hybrid") +
+                       " threads=" + std::to_string(threads) +
+                       " source=" + std::to_string(sources[i]));
+          bfs.Run(sources[i]);
+          ExpectMatchesReference(bfs, acc.Accumulate(bfs), refs[i]);
+        }
+      }
+    }
+  }
+}
+
 TEST(SpdKernelTest, IntraPassParallelMatchesSequentialOnGeneratorZoo) {
   // The tentpole determinism sweep: both kernels, 2 and 4 intra-pass
   // threads, grain 0 (every level fans out) — dist/sigma/order/levels,
@@ -348,20 +507,6 @@ TEST(SpdKernelTest, ParallelGrainOnlyChangesWorkNeverResults) {
   }
 }
 
-TEST(SpdKernelTest, IntraPassReuseAcrossSourcesResetsState) {
-  // Engine reuse with the parallel scratch in play: alternating sources
-  // must reproduce fresh-engine passes exactly.
-  const CsrGraph g = MakeErdosRenyiGnm(220, 700, 0x43);
-  BfsSpd reused(g, WithThreads(Hybrid(), 4));
-  for (VertexId s : {VertexId{0}, VertexId{160}, VertexId{9}, VertexId{0}}) {
-    reused.Run(s);
-    BfsSpd fresh(g, Hybrid());
-    fresh.Run(s);
-    ExpectDagsIdentical(reused.dag(), fresh.dag());
-    ExpectPredsIdentical(reused.dag(), fresh.dag());
-  }
-}
-
 TEST(SpdKernelTest, IntraPassZeroThreadsStandaloneIsSequential) {
   // num_threads == 0 means "inherit"; standalone engines have nothing to
   // inherit from and must stay sequential (no pool).
@@ -388,19 +533,37 @@ TEST(SpdKernelTest, StatsAccumulateAcrossRuns) {
 
 TEST(SpdKernelTest, ReuseAcrossSourcesResetsHybridState) {
   // Alternating sources on one engine: every pass must be identical to a
-  // fresh engine's pass (the lazy reset covers dist/sigma/bitmap/preds).
-  const CsrGraph g = MakeErdosRenyiGnm(200, 600, 0x42);
-  BfsSpd reused(g, Hybrid());
-  for (VertexId s : {VertexId{0}, VertexId{150}, VertexId{3}, VertexId{0}}) {
-    reused.Run(s);
-    BfsSpd fresh(g, Hybrid());
-    fresh.Run(s);
-    ExpectDagsIdentical(reused.dag(), fresh.dag());
-    for (VertexId v : reused.dag().order) {
-      const auto a = reused.dag().predecessors(v);
-      const auto b = fresh.dag().predecessors(v);
-      ASSERT_EQ(a.size(), b.size());
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+  // fresh engine's pass (the reset covers dist/sigma/bitmap/preds). A BA
+  // component and a disjoint 5-vertex path make Run switch reset modes: a
+  // pass from the component reaches nearly all of n (the next Run resets
+  // with whole-array fills), a pass from the path reaches 5 vertices (the
+  // next Run resets through the touched list). The 4-thread engines keep
+  // the parallel scratch in play; the forced bottom-up kernel reads the
+  // visited bitmap even on the path, so a bit the reset missed shows.
+  const CsrGraph ba = MakeBarabasiAlbert(500, 3, 0xB0);
+  GraphBuilder builder(505);
+  for (VertexId u = 0; u < ba.num_vertices(); ++u) {
+    for (VertexId v : ba.neighbors(u)) {
+      if (u < v) builder.AddEdge(u, v);
+    }
+  }
+  for (VertexId v = 500; v + 1 < 505; ++v) builder.AddEdge(v, v + 1);
+  const CsrGraph g = std::move(builder.Build()).value();
+  for (const SpdOptions& base : {Classic(), Hybrid(),
+                                 Hybrid(/*alpha=*/1e9, /*beta=*/0.0)}) {
+    for (unsigned threads : {1u, 4u}) {
+      BfsSpd reused(g, WithThreads(base, threads));
+      for (VertexId s : {VertexId{0}, VertexId{502}, VertexId{250},
+                         VertexId{504}, VertexId{503}, VertexId{499},
+                         VertexId{7}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " source=" + std::to_string(s));
+        reused.Run(s);
+        BfsSpd fresh(g, base);
+        fresh.Run(s);
+        ExpectDagsIdentical(reused.dag(), fresh.dag());
+        ExpectPredsIdentical(reused.dag(), fresh.dag());
+      }
     }
   }
 }
