@@ -11,10 +11,11 @@
 //                           pays),
 //   * speedup / fused x   — against the 1-thread row of the same kernel,
 //   * det                 — bit-identity gate against the 1-thread run:
-//                           dist/sigma/order/level_offsets, predecessor
-//                           lists, and dependency vectors must match
-//                           exactly ("!DET" must never appear; the
-//                           process exits 1 if it does).
+//                           dist/sigma/order/level_offsets and
+//                           dependency vectors must match exactly, and
+//                           every level edge slice must hold the same
+//                           edges ("!DET" must never appear; the process
+//                           exits 1 if it does).
 //
 //   bench_e22_intra_pass [sources_per_graph] [--smoke] [--grain=<g>]
 //
@@ -30,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -92,10 +94,26 @@ ThreadRun TimeAtThreads(const CsrGraph& graph, const SpdOptions& options,
   return run;
 }
 
+/// Level l's SPD edges as (child, parent) pairs, sorted. A slice promises
+/// only that each parent's children ascend — the sweep's fold order — so
+/// slices are compared as sets.
+std::vector<std::vector<std::pair<VertexId, VertexId>>> CanonicalEdgeSlices(
+    const ShortestPathDag& dag) {
+  std::vector<std::vector<std::pair<VertexId, VertexId>>> slices(
+      dag.num_levels());
+  for (std::size_t l = 0; l < dag.num_levels(); ++l) {
+    for (const SpdEdge& edge : dag.level_edges(l)) {
+      slices[l].emplace_back(edge.child, edge.parent);
+    }
+    std::sort(slices[l].begin(), slices[l].end());
+  }
+  return slices;
+}
+
 /// Per-row bit-identity gate: the `threads`-wide engine must reproduce
 /// the 1-thread engine exactly on every source — DAG (dist, sigma,
-/// canonical order, level offsets), predecessor lists, and dependency
-/// vectors.
+/// canonical order, level offsets), level edge slices (as sets), and
+/// dependency vectors.
 bool MatchesSequential(const CsrGraph& graph, const SpdOptions& options,
                        const std::vector<VertexId>& sources) {
   SpdOptions sequential_options = options;
@@ -114,16 +132,9 @@ bool MatchesSequential(const CsrGraph& graph, const SpdOptions& options,
         a.level_offsets != b.level_offsets) {
       return false;
     }
-    if (a.has_predecessors != b.has_predecessors) return false;
-    if (a.has_predecessors) {
-      for (VertexId v : a.order) {
-        const auto pa = a.predecessors(v);
-        const auto pb = b.predecessors(v);
-        if (pa.size() != pb.size() ||
-            !std::equal(pa.begin(), pa.end(), pb.begin())) {
-          return false;
-        }
-      }
+    if (a.edge_offsets != b.edge_offsets ||
+        CanonicalEdgeSlices(a) != CanonicalEdgeSlices(b)) {
+      return false;
     }
     if (sequential_acc.Accumulate(sequential) !=
         parallel_acc.Accumulate(parallel)) {

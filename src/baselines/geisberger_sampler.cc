@@ -9,6 +9,7 @@ GeisbergerSampler::GeisbergerSampler(const CsrGraph& graph,
   MHBC_DCHECK(graph.num_vertices() >= 2);
   aux_.assign(graph.num_vertices(), 0.0);
   scaled_.assign(graph.num_vertices(), 0.0);
+  coeff_.assign(graph.num_vertices(), 0.0);
 }
 
 const std::vector<double>& GeisbergerSampler::ScaledDependencies(VertexId s) {
@@ -21,17 +22,20 @@ const std::vector<double>& GeisbergerSampler::ScaledDependencies(VertexId s) {
   }
   touched_.assign(dag.order.begin(), dag.order.end());
 
-  ForEachDeepestFirst(dag, [this, &dag, s](VertexId w) {
-    if (w == s) return;
-    const std::uint32_t dw = dag.dist[w];
-    // Contribution of target w itself (1/d(s,w)) plus accumulated flows.
-    const double coeff = (1.0 / static_cast<double>(dw) + aux_[w]) /
-                         static_cast<double>(dag.sigma[w]);
-    ForEachParent(dag, *graph_, w, [this, &dag, coeff](VertexId v) {
-      aux_[v] += static_cast<double>(dag.sigma[v]) * coeff;
-    });
-    scaled_[w] = static_cast<double>(dw) * aux_[w];
-  });
+  // Levels deepest-first; level 0 is the source, whose own terms are 0.
+  for (std::size_t level = dag.num_levels(); level-- > 1;) {
+    // Every vertex of the level lies at d(s,w) == level; its A(w) is final
+    // (its contributions all came from deeper slices).
+    const double dw = static_cast<double>(level);
+    const std::size_t end = dag.level_offsets[level + 1];
+    for (std::size_t i = dag.level_offsets[level]; i < end; ++i) {
+      const VertexId w = dag.order[i];
+      // Contribution of target w itself (1/d(s,w)) plus accumulated flows.
+      coeff_[w] = (1.0 / dw + aux_[w]) / static_cast<double>(dag.sigma[w]);
+      scaled_[w] = dw * aux_[w];
+    }
+    FoldLevelEdges(dag, level, coeff_.data(), aux_.data());
+  }
   scaled_[s] = 0.0;
   return scaled_;
 }

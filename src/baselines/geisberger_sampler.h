@@ -24,8 +24,8 @@ namespace mhbc {
 class GeisbergerSampler {
  public:
   /// `spd` configures the BFS kernel; estimates are bit-identical across
-  /// kernels and α/β settings (the scaled sweep runs in the canonical
-  /// deepest-first order either way).
+  /// kernels, α/β settings and thread counts (the scaled sweep folds each
+  /// level's edge slice like the dependency sweep, sp/dependency.h).
   explicit GeisbergerSampler(const CsrGraph& graph, std::uint64_t seed,
                              SpdOptions spd = SpdOptions());
 
@@ -50,6 +50,7 @@ class GeisbergerSampler {
   Rng rng_;
   std::vector<double> aux_;     // A(v)
   std::vector<double> scaled_;  // delta'(v)
+  std::vector<double> coeff_;   // (1/d(s,w) + A(w)) / sigma_sw, per level
   std::vector<VertexId> touched_;
   std::uint64_t num_passes_ = 0;
 };

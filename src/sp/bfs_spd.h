@@ -34,10 +34,16 @@
 /// level's word span, clearing as it goes. A level that is sparse next to
 /// its span (more span words per id than kBitmapMaxWordsPerId in
 /// bfs_spd.cc) keeps std::sort.
-/// The hybrid kernel additionally records explicit predecessor lists while
-/// it traverses — it inspects every parent edge anyway — which is what lets
-/// the fused backward sweep (sp/dependency.h) walk SPD edges only instead
-/// of re-deriving parents by full neighbor rescans.
+/// Both kernels record every SPD edge while they traverse — they inspect
+/// every parent edge anyway — into ShortestPathDag's flat per-level edge
+/// slices (each parent's children ascending within a slice), which is what
+/// lets the fused backward sweep (sp/dependency.h) run one flat loop per
+/// level over SPD edges only. The bottom-up parent scan records without a
+/// branch on the parent test: every in-neighbor is stored in the next free
+/// slot and kept by advancing the count, and sigma adds the neighbor's
+/// count on a hit and the scanned vertex's own +0.0 on a miss
+/// (bit-identical to the branchy fold). The edge storage is sized to the
+/// in-arc count, which bounds those speculative stores.
 ///
 /// Intra-pass parallelism (SpdOptions::num_threads > 1) runs the level
 /// steps of either kernel frontier-parallel while keeping every output
@@ -51,25 +57,29 @@
 ///   * A top-down level runs two ParallelShardedLevel phases: frontier
 ///     shards bucket candidate DAG edges by destination range (dist is
 ///     read-only), then each range owner settles its vertices, folding
-///     sigma and appending parents by walking the buckets in shard order —
+///     sigma and recording edges by walking the buckets in shard order —
 ///     which for any fixed vertex is ascending parent id, the exact
-///     sequential fold order.
+///     sequential fold order, and records each parent's children
+///     ascending.
 ///   * A bottom-up level partitions the visited bitmap by word ranges;
 ///     each owner runs the sequential scan body on its words (every write
-///     — dist/sigma/preds/bitmap — lands in the owned range) and tests
-///     parents against the current frontier, published read-only in the
-///     level bitmap.
-///   * Per-range next-frontier segments are canonicalized locally (each
-///     owner drains only the level-bitmap words of its own range) and
-///     concatenated in range order, reproducing the globally sorted
-///     frontier the sequential kernels build.
+///     — dist/sigma/bitmap — lands in the owned range) and tests parents
+///     against the current frontier, published read-only in the level
+///     bitmap.
+///   * Each range records its edges into its own region (the in-CSR span
+///     of its vertices). Per-range next-frontier segments are
+///     canonicalized locally (each owner drains only the level-bitmap
+///     words of its own range) and concatenated in range order, edges
+///     with them, reproducing the globally sorted frontier the sequential
+///     kernels build and a level edge slice that keeps each parent's
+///     children ascending.
 ///
 /// Levels below SpdOptions::parallel_grain examined edges run the
 /// (identical-output) sequential step, so tiny levels pay no fan-out cost.
 ///
 /// Directed graphs: top-down expansion walks out-edges and every parent
-/// scan — the bottom-up step and recorded predecessor lists — walks
-/// in-edges (CsrGraph::in_neighbors, the transpose view), which on
+/// scan — the bottom-up step, and the RK backtrack's parent rescan —
+/// walks in-edges (CsrGraph::in_neighbors, the transpose view), which on
 /// undirected graphs alias the out-edges, so the undirected pass is
 /// unchanged. The direction heuristic's two ledgers split accordingly:
 /// m_f is the frontier's out-degree sum, m_u the unvisited vertices'
@@ -114,8 +124,8 @@ class BfsSpd {
   explicit BfsSpd(const CsrGraph& graph, SpdOptions options = SpdOptions());
   ~BfsSpd();
 
-  /// Computes dist/sigma/order (+ level offsets, + predecessors for the
-  /// hybrid kernel) from `source`.
+  /// Computes dist/sigma/order, the level offsets and the level edge
+  /// slices from `source`.
   void Run(VertexId source);
 
   /// Result of the last Run. Valid until the next Run.
@@ -128,8 +138,8 @@ class BfsSpd {
   const Stats& last_stats() const { return last_stats_; }
   const Stats& total_stats() const { return total_stats_; }
 
-  /// True once the hybrid scratch (visited bitmap + predecessor storage)
-  /// has been allocated. The classic kernel never allocates it, and the
+  /// True once the hybrid scratch (the visited bitmap) has been
+  /// allocated. The classic kernel never allocates it, and the
   /// hybrid kernel falls back to the classic path — without touching the
   /// scratch — on degenerate graphs (no edges or a single vertex), where
   /// direction optimization has nothing to optimize.
@@ -141,10 +151,41 @@ class BfsSpd {
   ThreadPool* intra_pool() const { return pool_.get(); }
 
  private:
+  /// One level step's output over a slice of the id space: the vertices
+  /// it settled (the next level, or a range's part of it), their out- and
+  /// in-degree sums (the next m_f, and what leaves m_u), and the number of
+  /// SPD edges into them it recorded.
+  struct LevelSegment {
+    std::vector<VertexId> ids;
+    std::size_t num_edges = 0;
+    std::uint64_t out_degrees = 0;
+    std::uint64_t in_degrees = 0;
+  };
+
   /// Top-down-only level loop (also the degenerate-graph fallback).
   void RunClassic(VertexId source);
   /// Direction-optimizing level loop.
   void RunHybrid(VertexId source);
+
+  /// Appends the frontier as the next level of the DAG and closes the
+  /// edge slice into it.
+  void BeginLevel();
+  /// Commits next_'s edges and makes next_ the frontier.
+  void EndLevel();
+  /// Sequential top-down step: settles depth+1 into next_, folding sigma
+  /// and recording the edges after the pass' recorded ones. mark_visited
+  /// selects the hybrid variant (sets visited bits).
+  void TopDownLevel(std::uint32_t depth, bool mark_visited);
+  /// The bottom-up scan body, sequential or one range's share: settles
+  /// every unvisited vertex of visited_ words [word_begin, word_end) that
+  /// has an in-neighbor u with is_parent(u), writes its edges from
+  /// `edges` on (each vertex's store may run one in-degree past its kept
+  /// edges), and fills *segment.
+  template <typename IsParent>
+  void ScanBottomUp(std::size_t word_begin, std::size_t word_end,
+                    std::uint32_t depth, std::uint64_t tail_mask,
+                    const IsParent& is_parent, SpdEdge* edges,
+                    LevelSegment* segment);
 
   /// True when a level with `level_edges` of work should fan out: a pool
   /// exists and the level clears the (thread-count-independent) grain.
@@ -157,21 +198,19 @@ class BfsSpd {
   /// Touches only the level-bitmap words the ids span, and leaves them
   /// zero.
   void CanonicalizeLevel(std::vector<VertexId>* ids);
-  /// Lazily sizes the destination ranges + per-shard buckets (a pure
-  /// function of |V|).
+  /// Lazily sizes the destination ranges, per-shard buckets and per-range
+  /// edge regions (a pure function of the graph).
   void EnsureParallelScratch();
-  /// Frontier-parallel top-down level step: settles depth+1, fills next_
-  /// (sorted) and returns its out-degree sum; adds the new level's
-  /// in-degree sum (the bottom-up cost ledger, which differs from the
-  /// out-degree sum on directed graphs) to *next_in_edges. record_preds
-  /// selects the hybrid variant (visited bits + predecessor lists).
-  std::uint64_t TopDownLevelParallel(std::uint32_t depth, bool record_preds,
-                                     std::uint64_t* next_in_edges);
-  /// Word-range-parallel bottom-up level step; same outputs as above,
-  /// always records predecessors (hybrid only).
-  std::uint64_t BottomUpLevelParallel(std::uint32_t depth,
-                                      std::uint64_t tail_mask,
-                                      std::uint64_t* next_in_edges);
+  /// Empties next_ before a parallel step appends its range segments.
+  void ClearNext();
+  /// Merge step of the parallel levels: appends range `range`'s segment to
+  /// next_ (ids, degree sums, and its edges copied out of its region).
+  void AppendSegment(std::size_t range);
+  /// Frontier-parallel top-down level step; same output as TopDownLevel.
+  void TopDownLevelParallel(std::uint32_t depth, bool mark_visited);
+  /// Word-range-parallel bottom-up level step (hybrid only); same output
+  /// as the sequential scan.
+  void BottomUpLevelParallel(std::uint32_t depth, std::uint64_t tail_mask);
 
   void SetVisited(VertexId v) {
     visited_[v >> 6] |= std::uint64_t{1} << (v & 63);
@@ -183,9 +222,11 @@ class BfsSpd {
   const CsrGraph* graph_;
   SpdOptions options_;
   ShortestPathDag dag_;
+  /// Edges the current pass has recorded into levels up to the frontier's.
+  std::size_t num_edges_ = 0;
   /// Frontier scratch: current level / next level under construction.
   std::vector<VertexId> frontier_;
-  std::vector<VertexId> next_;
+  LevelSegment next_;
   /// Visited bitmap (one bit per vertex); lazily allocated by the first
   /// hybrid pass, empty otherwise.
   std::vector<std::uint64_t> visited_;
@@ -216,10 +257,14 @@ class BfsSpd {
   /// Candidate buckets, indexed [shard * num_ranges_ + range]; capacity is
   /// retained across levels and passes.
   std::vector<std::vector<TdCandidate>> buckets_;
-  /// Per-range next-frontier segments + their out-/in-degree sums.
-  std::vector<std::vector<VertexId>> range_next_;
-  std::vector<std::uint64_t> range_edges_;
-  std::vector<std::uint64_t> range_in_edges_;
+  /// Per-range level segments of a parallel step.
+  std::vector<LevelSegment> range_segments_;
+  /// Per-range edge regions: range r records a level's edges from
+  /// range_edges_[range_edge_begin_[r]] on — the in-CSR offset of its
+  /// first vertex, so its region is the in-CSR span of its vertices,
+  /// which bounds the edges into them (speculative stores included).
+  std::vector<SpdEdge> range_edges_;
+  std::vector<std::size_t> range_edge_begin_;
 };
 
 }  // namespace mhbc

@@ -21,14 +21,14 @@ const std::vector<double>& DependencyAccumulator::Accumulate(
   for (VertexId v : touched_) delta_[v] = 0.0;
   touched_.assign(dag.order.begin(), dag.order.end());
 
-  if (pool_ != nullptr && !dag.level_offsets.empty()) {
-    // Level-parallel sweep; only DAGs with a recorded level structure
-    // qualify (Dijkstra DAGs keep the sequential reverse-settle sweep).
+  if (dag.has_level_edges()) {
+    // BFS DAGs: one flat loop over each level's recorded SPD edges.
+    AccumulateLevelEdges(dag);
+  } else if (pool_ != nullptr && !dag.level_offsets.empty()) {
+    // Level-parallel per-vertex sweep over settle waves (DeltaSpd DAGs);
+    // Dijkstra DAGs carry no level structure and stay sequential.
     AccumulateLevels(dag, graph);
   } else {
-    // ForEachParent walks the recorded SPD edges when the pass stored them
-    // (the fused path — no non-DAG edge is touched) and re-derives parents
-    // from dist otherwise (classic BFS passes).
     ForEachDeepestFirst(dag, [this, &dag, &graph](VertexId w) {
       const double coeff =
           (1.0 + delta_[w]) / static_cast<double>(dag.sigma[w]);
@@ -39,6 +39,54 @@ const std::vector<double>& DependencyAccumulator::Accumulate(
   }
   delta_[dag.source] = 0.0;  // dependency of s on itself is undefined/0
   return delta_;
+}
+
+void DependencyAccumulator::AccumulateLevelEdges(const ShortestPathDag& dag) {
+  // Allocated by the first BFS sweep: accumulators that only ever sweep
+  // weighted DAGs never pay for it.
+  if (coeff_.size() != num_vertices_) coeff_.assign(num_vertices_, 0.0);
+  // Level 0 is the source, which has no parents: its slice is empty.
+  for (std::size_t level = dag.num_levels(); level-- > 1;) {
+    // The level's deltas are final (every contribution to them came from
+    // deeper slices), so its coefficients can all be taken first.
+    const std::size_t level_end = dag.level_offsets[level + 1];
+    for (std::size_t i = dag.level_offsets[level]; i < level_end; ++i) {
+      const VertexId w = dag.order[i];
+      coeff_[w] = (1.0 + delta_[w]) / static_cast<double>(dag.sigma[w]);
+    }
+    // The grain test reads the slice's edge count, a function of the
+    // level alone, so the parallel-or-sequential choice is
+    // thread-count-independent.
+    const std::span<const SpdEdge> edges = dag.level_edges(level);
+    if (pool_ == nullptr || edges.size() < parallel_grain_) {
+      FoldLevelEdges(dag, level, coeff_.data(), delta_.data());
+      continue;
+    }
+    EnsureParallelScratch();
+    // Phase 1 — fixed shards of the edge slice bucket per-parent
+    // contributions sigma_p * coeff_c by the parent's destination range;
+    // all writes go to the shard's private bucket row.
+    ParallelShardedLevel(
+        pool_, BfsSpd::kFrontierShards,
+        [this, &dag, edges](unsigned, std::size_t shard) {
+          const auto [begin, end] =
+              ShardBounds(edges.size(), shard, BfsSpd::kFrontierShards);
+          std::vector<Contribution>* row =
+              buckets_.data() + shard * num_ranges_;
+          for (std::size_t i = begin; i < end; ++i) {
+            const SpdEdge edge = edges[i];
+            row[edge.parent >> range_shift_].push_back(
+                {edge.parent, static_cast<double>(dag.sigma[edge.parent]) *
+                                  coeff_[edge.child]});
+          }
+        },
+        // Nothing to merge: phase 2 consumes the buckets in shard order.
+        [](std::size_t) {});
+    // Phase 2 — shards cover the slice in order, so folding the buckets
+    // in ascending shard order meets each parent's contributions in slice
+    // order: ascending child, FoldLevelEdges' exact regrouping.
+    FoldBuckets();
+  }
 }
 
 void DependencyAccumulator::EnsureParallelScratch() {
@@ -106,26 +154,30 @@ void DependencyAccumulator::AccumulateLevels(const ShortestPathDag& dag,
         },
         // Nothing to merge: phase 2 consumes the buckets in shard order.
         [](std::size_t) {});
-    // Phase 2 — each range owner folds its delta entries, walking the
-    // buckets in ascending shard order. Shards bucket their slice of the
-    // (ascending-id) level in order, so for any fixed parent v the
-    // contributions fold in ascending w — the sequential sweep's exact
-    // floating-point regrouping.
-    ParallelShardedLevel(
-        pool_, num_ranges_,
-        [this](unsigned, std::size_t range) {
-          for (std::size_t shard = 0; shard < BfsSpd::kFrontierShards;
-               ++shard) {
-            std::vector<Contribution>& bucket =
-                buckets_[shard * num_ranges_ + range];
-            for (const Contribution& contribution : bucket) {
-              delta_[contribution.v] += contribution.c;
-            }
-            bucket.clear();
-          }
-        },
-        [](std::size_t) {});
+    // Phase 2 — shards bucket their slice of the level in order, so for any
+    // fixed parent v the contributions fold in level-slice order — the
+    // sequential sweep's exact floating-point regrouping.
+    FoldBuckets();
   }
+}
+
+void DependencyAccumulator::FoldBuckets() {
+  // Each range owner folds its delta entries, walking the buckets in
+  // ascending shard order.
+  ParallelShardedLevel(
+      pool_, num_ranges_,
+      [this](unsigned, std::size_t range) {
+        for (std::size_t shard = 0; shard < BfsSpd::kFrontierShards;
+             ++shard) {
+          std::vector<Contribution>& bucket =
+              buckets_[shard * num_ranges_ + range];
+          for (const Contribution& contribution : bucket) {
+            delta_[contribution.v] += contribution.c;
+          }
+          bucket.clear();
+        }
+      },
+      [](std::size_t) {});
 }
 
 const std::vector<double>& DependencyAccumulator::Accumulate(

@@ -14,29 +14,33 @@
 /// every vertex v via the recursion (paper Eq. 4):
 ///   delta_{s.}(v) = sum over SPD-successors w of v of
 ///                   sigma_sv / sigma_sw * (1 + delta_{s.}(w)).
-/// One accumulation costs O(|E|) after a BFS pass, O(|E|) after a weighted
-/// pass — and only O(|SPD edges|) when the pass recorded explicit
-/// predecessor lists (the weighted engines and the hybrid BFS kernel do),
-/// because the backward sweep then walks the recorded parents instead of
-/// re-deriving them by full neighbor rescans.
+/// One accumulation walks the pass' SPD edges only — O(|SPD edges|) —
+/// because every pass engine records them: BFS passes as per-level edge
+/// slices, weighted passes as per-vertex predecessor lists.
 ///
-/// The sweep order is fixed by ForEachDeepestFirst (sp/spd.h): levels
-/// deepest-first, in the DAG's canonical within-level order (ascending id
-/// for BFS levels, ascending (wdist, id) for DeltaSpd waves). That order
-/// is a property of the DAG alone — not of the traversal direction that
-/// built it — which is what makes dependency vectors bit-identical across
-/// SPD kernels and α/β settings.
+/// BFS DAGs are swept level by level, deepest first: the coefficients
+/// (1 + delta(w)) / sigma(w) of the level's vertices, then one flat loop
+/// over the level's edge slice (FoldLevelEdges, sp/spd.h) — no per-vertex
+/// inner loop with a data-dependent trip count. Each parent's children
+/// ascend within a slice, so every delta folds its contributions in
+/// ascending child id: a property of the DAG alone, not of the kernel,
+/// direction or thread count that recorded the slice, which is what makes
+/// dependency vectors bit-identical across all of them.
+///
+/// Weighted DAGs keep the per-vertex sweep, in the order fixed by
+/// ForEachDeepestFirst and ForEachParent (sp/spd.h): levels deepest-first
+/// in the DAG's canonical within-level order (ascending (wdist, id) for
+/// DeltaSpd waves), reverse settle order for Dijkstra DAGs.
 ///
 /// With a borrowed worker pool the sweep runs level-parallel under the
-/// same fixed-shard discipline as the BFS kernels for every DAG that
-/// carries level offsets — BFS levels and DeltaSpd settle waves alike: per
-/// level, fixed shards of the level slice bucket per-parent contributions
-/// sigma_v * coeff_w by destination range, then each range owner folds its
-/// deltas walking the buckets in shard order. For any fixed parent the
-/// contributions fold in level-slice order — exactly the sequential
-/// sweep's regrouping — so delta vectors stay bit-identical at every
-/// thread count. Heap-order (Dijkstra) DAGs carry no level structure and
-/// keep the sequential reverse-settle sweep.
+/// same fixed-shard discipline as the BFS kernels: per level, fixed shards
+/// of the level's edge slice (BFS) or vertex slice (DeltaSpd waves) bucket
+/// per-parent contributions sigma_v * coeff_w by destination range, then
+/// each range owner folds its deltas walking the buckets in shard order.
+/// For any fixed parent the contributions fold in slice order — exactly
+/// the sequential sweep's regrouping — so delta vectors stay bit-identical
+/// at every thread count. Heap-order (Dijkstra) DAGs carry no level
+/// structure and keep the sequential reverse-settle sweep.
 
 namespace mhbc {
 
@@ -48,8 +52,9 @@ class DependencyAccumulator {
   /// `pool` (optional, non-owning, may be null) enables the level-parallel
   /// sweep for DAGs that carry level offsets; callers share the SPD
   /// engine's pool (BfsSpd::intra_pool) so one pass + accumulate uses one
-  /// set of threads. Levels whose degree sum is below `parallel_grain` run
-  /// the (bit-identical) sequential body; the default matches
+  /// set of threads. Levels with less work than `parallel_grain` (SPD
+  /// edges in a BFS level's slice, the in-degree sum of a weighted wave)
+  /// run the (bit-identical) sequential body; the default matches
   /// SpdOptions::parallel_grain.
   explicit DependencyAccumulator(const CsrGraph& graph,
                                  ThreadPool* pool = nullptr,
@@ -57,10 +62,10 @@ class DependencyAccumulator {
                                      SpdOptions{}.parallel_grain);
 
   /// Accumulates dependencies of `dag.source` on all vertices — the single
-  /// backward-sweep implementation every pass flavor (classic BFS, hybrid
-  /// BFS, Dijkstra) funnels through. `graph` must be the graph the pass
-  /// ran on; it is consulted only when the DAG carries no predecessor
-  /// lists. Result valid until the next Accumulate call.
+  /// backward-sweep implementation every pass flavor (BFS, delta-stepping,
+  /// Dijkstra) funnels through. `graph` must be the graph the pass ran
+  /// on; only the level-parallel weighted sweep reads it (in-degrees for
+  /// its grain test). Result valid until the next Accumulate call.
   const std::vector<double>& Accumulate(const ShortestPathDag& dag,
                                         const CsrGraph& graph);
 
@@ -85,14 +90,22 @@ class DependencyAccumulator {
     double c;
   };
 
-  /// Level-parallel sweep over the recorded level structure (BFS DAGs).
+  /// Sweep over a BFS DAG's level edge slices, level-parallel with a pool.
+  void AccumulateLevelEdges(const ShortestPathDag& dag);
+  /// Level-parallel per-vertex sweep over settle waves (DeltaSpd DAGs).
   void AccumulateLevels(const ShortestPathDag& dag, const CsrGraph& graph);
+  /// Phase 2 of a parallel level: range owners fold the buckets into
+  /// delta_ in ascending shard order, and empty them.
+  void FoldBuckets();
   /// Lazily sizes destination ranges + buckets (same geometry rules as
   /// BfsSpd::EnsureParallelScratch — a pure function of |V|).
   void EnsureParallelScratch();
 
   std::vector<double> delta_;
   std::vector<VertexId> touched_;
+  /// Per-vertex sweep coefficients of the BFS level being folded; sized by
+  /// the first BFS sweep.
+  std::vector<double> coeff_;
 
   /// Intra-pass parallel state; pool_ null = always-sequential sweep.
   ThreadPool* pool_ = nullptr;

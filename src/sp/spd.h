@@ -53,8 +53,9 @@ struct SpdOptions {
   /// ExactBetweenness treats 0 as 1 (fully sequential — the historical
   /// behavior). Results are bit-identical at every value.
   unsigned num_threads = 0;
-  /// Minimum per-level work (in examined edges, or edge-weighted vertices
-  /// for the backward sweep) before a level fans out across threads;
+  /// Minimum per-level work (in examined edges; for the backward sweep,
+  /// the SPD edges of a BFS level's slice or the in-degree sum of a
+  /// weighted wave) before a level fans out across threads;
   /// smaller levels run the sequential step, whose output is identical.
   /// The threshold is a function of the level only — never of the thread
   /// count — so the parallel/sequential choice cannot break determinism.
@@ -65,9 +66,9 @@ struct SpdOptions {
   /// current frontier (edges a top-down step examines) and m_u the degree
   /// sum of still-unvisited vertices (edges a bottom-up step examines).
   /// alpha is the measured per-edge discount of the bottom-up loop — a
-  /// sequential ascending scan with no discovery bookkeeping and no
-  /// frontier sort — so the test reads "bottom-up is the cheaper way to
-  /// build this level". Exact sigma counting cannot early-exit the parent
+  /// sequential ascending scan with no discovery bookkeeping, no frontier
+  /// sort and no branch on the parent test — so the test reads "bottom-up
+  /// is the cheaper way to build this level". Exact sigma counting cannot early-exit the parent
   /// scan (Beamer's reachability-only BFS can, hence his much larger
   /// alpha = 14); the default here is the bench_e20 sweep optimum across
   /// the registry graphs. alpha <= 0 disables bottom-up entirely.
@@ -94,6 +95,13 @@ struct SpdOptions {
   /// — is invariant under it (waves are defined by distances and per-vertex
   /// minimum incident weights alone; buckets only organize the scan).
   double delta_width = 0.0;
+};
+
+/// One SPD edge: `parent` lies one hop (one level) closer to the source
+/// than `child` and reaches it over an in-edge of `child`.
+struct SpdEdge {
+  VertexId parent;
+  VertexId child;
 };
 
 /// Result arrays of one single-source pass. Arrays are indexed by vertex id
@@ -125,19 +133,31 @@ struct ShortestPathDag {
   /// the structure. Empty for heap-order (Dijkstra) passes, which fall
   /// back to reverse settle order.
   std::vector<std::size_t> level_offsets;
-  /// Explicit SPD predecessor (parent) lists in CSR-capacity layout:
-  /// vertex v's parents occupy
+  /// BFS passes: every SPD edge, grouped by the level of its child —
+  /// edges[edge_offsets[l] .. edge_offsets[l+1]) are the edges into level
+  /// l (slice 0, the source's, is empty); see level_edges(). The one
+  /// ordering rule within a slice is that each parent's children ascend,
+  /// which is all the backward sweep's floating-point fold needs: a
+  /// parent's dependency folds its children's contributions in ascending
+  /// child id whatever order the slice interleaves parents in. Slices
+  /// therefore differ between kernels and thread counts as sequences and
+  /// agree as sets. `edges` is sized to the graph's in-arc count (every
+  /// SPD edge is a distinct in-arc, so any pass fits), and only its first
+  /// edge_offsets.back() entries are meaningful. Empty for weighted
+  /// passes, which record the per-vertex lists below instead.
+  std::vector<SpdEdge> edges;
+  std::vector<std::size_t> edge_offsets;
+  /// Weighted passes: explicit SPD predecessor (parent) lists in
+  /// CSR-capacity layout: vertex v's parents occupy
   /// pred_storage[pred_begin[v] .. pred_begin[v] + pred_count[v]).
   /// pred_begin points at the graph's own *in*-CSR offsets (a parent of v
   /// reaches it over an in-edge, so a parent list can never outgrow the
   /// in-degree; on undirected graphs the in-CSR aliases the out-CSR), so
-  /// it stays valid exactly as long as the
-  /// graph the engine is bound to — no per-engine copy. Filled by the
-  /// Dijkstra engine (parents in settle order) and by the hybrid BFS
-  /// kernel (parents in ascending id — the same sequence a sorted
-  /// neighbor scan yields, which is what keeps the accumulation
-  /// regrouping kernel-independent). Classic BFS passes leave
-  /// has_predecessors false; parents are then re-derived from dist.
+  /// it stays valid exactly as long as the graph the engine is bound to —
+  /// no per-engine copy. Filled by DeltaSpd (parents in wave-settle order)
+  /// and DijkstraSpd (parents in settle order). BFS passes leave
+  /// has_predecessors false; ForEachParent then re-derives parents from
+  /// dist.
   const EdgeId* pred_begin = nullptr;
   std::vector<std::uint32_t> pred_count;
   std::vector<VertexId> pred_storage;
@@ -155,6 +175,16 @@ struct ShortestPathDag {
     return level_offsets.empty() ? 0 : level_offsets.size() - 1;
   }
 
+  /// True when the pass recorded per-level edge slices (BFS passes).
+  bool has_level_edges() const { return !edge_offsets.empty(); }
+
+  /// The SPD edges into level l; valid only when has_level_edges().
+  std::span<const SpdEdge> level_edges(std::size_t l) const {
+    MHBC_DCHECK(l + 1 < edge_offsets.size());
+    return {edges.data() + edge_offsets[l],
+            edges.data() + edge_offsets[l + 1]};
+  }
+
   /// Parents of v in the SPD; valid only when has_predecessors.
   std::span<const VertexId> predecessors(VertexId v) const {
     MHBC_DCHECK(v < pred_count.size());
@@ -163,12 +193,14 @@ struct ShortestPathDag {
   }
 };
 
-/// Visits every reached vertex in the fixed backward-sweep order the
-/// dependency accumulators use: levels deepest-first, ascending vertex id
-/// within a level when the DAG carries level offsets (BFS kernels), falling
-/// back to reverse settle order (Dijkstra). This single definition is what
-/// pins the floating-point regrouping of every backward sweep in the
-/// library, so it must not fork per caller.
+/// Visits every reached vertex in the fixed backward-sweep order of the
+/// per-vertex sweeps (weighted DAGs): levels deepest-first, the DAG's
+/// canonical order within a level when it carries level offsets (DeltaSpd
+/// waves), falling back to reverse settle order (Dijkstra). BFS DAGs are
+/// swept by level edge slice instead (FoldLevelEdges), in the same level
+/// order. This single definition is what pins the floating-point
+/// regrouping of every per-vertex sweep in the library, so it must not
+/// fork per caller.
 template <typename Visit>
 void ForEachDeepestFirst(const ShortestPathDag& dag, Visit&& visit) {
   if (!dag.level_offsets.empty()) {
@@ -186,14 +218,13 @@ void ForEachDeepestFirst(const ShortestPathDag& dag, Visit&& visit) {
 }
 
 /// Visits every SPD parent of `w`: the recorded predecessor list when the
-/// pass stored one, else the in-neighbors one hop closer to the source
-/// (unweighted re-derivation from dist; a parent reaches w over an
-/// in-edge, and on undirected graphs the in-neighbor list aliases the
-/// neighbor list). For unweighted passes the enumeration order is
-/// ascending parent id either way — recorded lists repeat the sorted
-/// in-neighbor scan — so backward sweeps regroup identically whichever
-/// path runs. Like ForEachDeepestFirst, this is the single definition of
-/// parent enumeration; sweeps must not fork their own.
+/// pass stored one (weighted passes), else the in-neighbors one hop closer
+/// to the source (BFS passes, re-derived from dist; a parent reaches w
+/// over an in-edge, and on undirected graphs the in-neighbor list aliases
+/// the neighbor list). For BFS passes the enumeration order is ascending
+/// parent id, the order sigma was folded in, whichever kernel ran. The
+/// single definition of per-vertex parent enumeration (the RK backtrack,
+/// the weighted sweeps); sweeps must not fork their own.
 template <typename Visit>
 void ForEachParent(const ShortestPathDag& dag, const CsrGraph& graph,
                    VertexId w, Visit&& visit) {
@@ -204,6 +235,23 @@ void ForEachParent(const ShortestPathDag& dag, const CsrGraph& graph,
     for (VertexId v : graph.in_neighbors(w)) {
       if (dag.dist[v] + 1 == dw) visit(v);
     }
+  }
+}
+
+/// The backward-sweep step of one BFS level: for each SPD edge (p, c) into
+/// `level`, in slice order, acc[p] += sigma[p] * coeff[c], where coeff
+/// holds the level's per-vertex coefficients by vertex id. Within a slice
+/// each parent's children ascend, so every acc[p] folds its contributions
+/// in ascending child id — a function of the DAG alone, whichever kernel
+/// and thread count recorded the slice. Sweeps call it deepest level
+/// first, after filling coeff for the level's vertices; the single
+/// definition of the BFS fold, which sharded sweeps reproduce by folding
+/// contiguous sub-slices in order.
+inline void FoldLevelEdges(const ShortestPathDag& dag, std::size_t level,
+                           const double* coeff, double* acc) {
+  for (const SpdEdge& edge : dag.level_edges(level)) {
+    acc[edge.parent] +=
+        static_cast<double>(dag.sigma[edge.parent]) * coeff[edge.child];
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 
@@ -136,6 +139,44 @@ TEST(BfsSpdTest, SigmaTotalsMatchIndependentBfs) {
       if (dag.dist[u] + 1 == dag.dist[v]) parent_sum += dag.sigma[u];
     }
     EXPECT_EQ(dag.sigma[v], parent_sum) << "vertex " << v;
+  }
+}
+
+TEST(BfsSpdTest, OverflowedSigmaIsExactInEveryKernel) {
+  // A chain of 1100 diamonds doubles sigma at every diamond, so it
+  // overflows to +inf past the 1024th. A rung inside each diamond gives
+  // the bottom-up scan a non-parent neighbor whose sigma is already set
+  // (the first side vertex, when the second is scanned). The branch-free
+  // scan must add exactly +0.0 for it even when that sigma is +inf (a
+  // multiply by 0.0 would yield NaN), at 1 and 4 threads.
+  constexpr VertexId kDiamonds = 1100;
+  GraphBuilder builder(1 + 3 * kDiamonds);
+  for (VertexId d = 0; d < kDiamonds; ++d) {
+    const VertexId top = 3 * d;
+    builder.AddEdge(top, top + 1);
+    builder.AddEdge(top, top + 2);
+    builder.AddEdge(top + 1, top + 2);
+    builder.AddEdge(top + 1, top + 3);
+    builder.AddEdge(top + 2, top + 3);
+  }
+  const CsrGraph g = std::move(builder.Build()).value();
+  SpdOptions classic;
+  classic.kernel = SpdKernel::kClassic;
+  BfsSpd reference(g, classic);
+  reference.Run(0);
+  ASSERT_TRUE(std::isinf(reference.dag().sigma[3 * kDiamonds]));
+  for (unsigned threads : {1u, 4u}) {
+    SpdOptions bottom_up;  // every level bottom-up
+    bottom_up.alpha = 1e9;
+    bottom_up.beta = 0.0;
+    bottom_up.num_threads = threads;
+    bottom_up.parallel_grain = 0;
+    BfsSpd bfs(g, bottom_up);
+    bfs.Run(0);
+    EXPECT_GT(bfs.last_stats().bottom_up_levels, 2 * kDiamonds - 1);
+    EXPECT_EQ(bfs.dag().dist, reference.dag().dist) << threads;
+    EXPECT_EQ(bfs.dag().sigma, reference.dag().sigma) << threads;
+    EXPECT_EQ(bfs.dag().order, reference.dag().order) << threads;
   }
 }
 

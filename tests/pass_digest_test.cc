@@ -1,0 +1,198 @@
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "baselines/geisberger_sampler.h"
+#include "baselines/rk_sampler.h"
+#include "centrality/engine.h"
+#include "exact/dependency_oracle.h"
+#include "graph/generators.h"
+
+/// \file
+/// Cross-version bit-identity gate. The other determinism suites compare
+/// two runs of one build (kernels, thread counts, grains), so a change
+/// that moves every run the same way passes them all. This suite pins
+/// outputs to FNV-1a digests recorded as constants: dependency vectors
+/// from fixed sources, RK credit vectors, Geisberger estimates, and the
+/// report fields of one analyst session. A speed change to the SPD
+/// kernels or the backward sweep must leave every digest unchanged; a
+/// change that means to move results updates the constants and says why.
+
+namespace mhbc {
+namespace {
+
+constexpr std::size_t kSources = 64;
+
+/// 64-bit FNV-1a over the object bytes of the values fed to it (doubles
+/// by bit pattern, so -0.0 and +0.0 differ).
+class Fnv1a {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char byte : bytes) {
+      hash_ = (hash_ ^ byte) * 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void AddAll(const std::vector<T>& values) {
+    Add(values.size());
+    for (const T& value : values) Add(value);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct Fixture {
+  std::string name;
+  CsrGraph graph;
+};
+
+/// A low-diameter scale-free graph (bottom-up levels, dense levels), a
+/// high-diameter grid (top-down only, many small levels) and a directed
+/// graph (parents over in-edges).
+std::vector<Fixture> Fixtures() {
+  std::vector<Fixture> fixtures;
+  fixtures.push_back({"ba-1000", MakeBarabasiAlbert(1000, 3, 0xD16E57)});
+  fixtures.push_back({"grid-30x30", MakeGrid(30, 30)});
+  fixtures.push_back(
+      {"directed-1000", MakeRandomDirected(1000, 5000, 0xD1)});
+  return fixtures;
+}
+
+std::vector<VertexId> Sources(VertexId n) {
+  std::vector<VertexId> sources;
+  for (std::size_t i = 0; i < kSources; ++i) {
+    sources.push_back(
+        static_cast<VertexId>((std::uint64_t{n} * i) / kSources));
+  }
+  return sources;
+}
+
+/// Classic and hybrid kernels, sequential and 4-thread passes; grain 0
+/// sends every level of the 4-thread passes through the sharded steps.
+std::vector<std::pair<std::string, SpdOptions>> Configs() {
+  std::vector<std::pair<std::string, SpdOptions>> configs;
+  for (SpdKernel kernel : {SpdKernel::kClassic, SpdKernel::kHybrid}) {
+    for (unsigned threads : {1u, 4u}) {
+      SpdOptions spd;
+      spd.kernel = kernel;
+      spd.num_threads = threads;
+      if (threads > 1) spd.parallel_grain = 0;
+      configs.emplace_back(
+          std::string(kernel == SpdKernel::kClassic ? "classic" : "hybrid") +
+              "/" + std::to_string(threads),
+          spd);
+    }
+  }
+  return configs;
+}
+
+std::string Hex(std::uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+TEST(PassDigestTest, DependencyVectorsFromFixedSources) {
+  const std::uint64_t expected[] = {0xe6cfacc6136361aeULL,
+                                    0xc5ef1f1a6d4613d8ULL,
+                                    0xe02fec3add78fc4cULL};
+  const std::vector<Fixture> fixtures = Fixtures();
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    const CsrGraph& g = fixtures[f].graph;
+    for (const auto& [config, spd] : Configs()) {
+      DependencyOracle oracle(g, spd);
+      Fnv1a digest;
+      for (VertexId s : Sources(g.num_vertices())) {
+        digest.AddAll(oracle.Dependencies(s));
+      }
+      EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
+          << fixtures[f].name << " " << config;
+    }
+  }
+}
+
+TEST(PassDigestTest, RkCreditVectors) {
+  const std::uint64_t expected[] = {0xbbcab21e2b42f4f7ULL,
+                                    0xa7c61a365d647406ULL,
+                                    0x4e901f63c54f520cULL};
+  const std::vector<Fixture> fixtures = Fixtures();
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    for (const auto& [config, spd] : Configs()) {
+      RkSampler rk(fixtures[f].graph, /*seed=*/0x4B, spd);
+      Fnv1a digest;
+      digest.AddAll(rk.EstimateAll(128));
+      EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
+          << fixtures[f].name << " " << config;
+    }
+  }
+}
+
+TEST(PassDigestTest, GeisbergerEstimates) {
+  const std::uint64_t expected[] = {0x2802c3ae95d33ca0ULL,
+                                    0x6f9d69b0110f8860ULL,
+                                    0xb75a089cec590d1dULL};
+  const std::vector<Fixture> fixtures = Fixtures();
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    const CsrGraph& g = fixtures[f].graph;
+    for (const auto& [config, spd] : Configs()) {
+      GeisbergerSampler geisberger(g, /*seed=*/0x6E, spd);
+      Fnv1a digest;
+      for (VertexId r : {VertexId{0}, g.num_vertices() / 3,
+                         g.num_vertices() / 2, g.num_vertices() - 1}) {
+        digest.Add(geisberger.Estimate(r, 32));
+      }
+      EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
+          << fixtures[f].name << " " << config;
+    }
+  }
+}
+
+TEST(PassDigestTest, AnalystSessionReport) {
+  // One cold-estimate-shaped session: a fresh engine, EstimateMany with
+  // the mh chain over three targets, then RankTargets on them.
+  const std::uint64_t expected = 0x90e2bef83ca7eb21ULL;
+  const CsrGraph g = MakeBarabasiAlbert(1000, 3, 0xD16E57);
+  const std::vector<VertexId> targets = {0, 10, 600};
+  BetweennessEngine engine(g);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.samples = 64;
+  request.seed = 0x5E55;
+  const auto reports = engine.EstimateMany(targets, request);
+  ASSERT_TRUE(reports.ok());
+  const auto order =
+      engine.RankTargets(targets, 64, 0x5E55 ^ 0x9e3779b97f4a7c15ULL);
+  ASSERT_TRUE(order.ok());
+  Fnv1a digest;
+  for (const EstimateReport& report : reports.value()) {
+    digest.Add(report.vertex);
+    digest.Add(report.value);
+    digest.Add(report.sp_passes);
+    digest.Add(static_cast<int>(report.kind));
+    digest.Add(report.samples_used);
+    digest.Add(report.acceptance_rate);
+    digest.Add(report.ess);
+    digest.Add(report.std_error);
+    digest.Add(report.ci_half_width);
+    digest.Add(report.cache_hit);
+    digest.Add(report.converged);
+  }
+  digest.AddAll(order.value());
+  digest.Add(engine.total_sp_passes());
+  EXPECT_EQ(Hex(digest.value()), Hex(expected));
+}
+
+}  // namespace
+}  // namespace mhbc

@@ -94,27 +94,6 @@ TEST(SpdKernelTest, CanonicalOrderIsAscendingWithinLevels) {
   }
 }
 
-TEST(SpdKernelTest, HybridRecordsExactPredecessorLists) {
-  for (const CsrGraph& g : PropertyGraphs()) {
-    BfsSpd hybrid(g, Hybrid());
-    hybrid.Run(0);
-    const ShortestPathDag& dag = hybrid.dag();
-    ASSERT_TRUE(dag.has_predecessors);
-    for (VertexId v : dag.order) {
-      // Recorded parents must equal the dist-derived parent set, in
-      // ascending order (the fold order the accumulation contract pins).
-      std::vector<VertexId> expected;
-      for (VertexId u : g.neighbors(v)) {
-        if (dag.dist[u] + 1 == dag.dist[v]) expected.push_back(u);
-      }
-      const auto preds = dag.predecessors(v);
-      ASSERT_EQ(preds.size(), expected.size()) << "vertex " << v;
-      EXPECT_TRUE(std::equal(preds.begin(), preds.end(), expected.begin()))
-          << "vertex " << v;
-    }
-  }
-}
-
 TEST(SpdKernelTest, DependencyVectorsBitIdenticalAcrossAlphaBeta) {
   const CsrGraph g = MakeBarabasiAlbert(600, 3, 0xAB);
   // Baseline: classic kernel (neighbor-rescan backward sweep).
@@ -251,17 +230,40 @@ SpdOptions WithThreads(SpdOptions options, unsigned threads,
   return options;
 }
 
-void ExpectPredsIdentical(const ShortestPathDag& a,
-                          const ShortestPathDag& b) {
-  ASSERT_EQ(a.has_predecessors, b.has_predecessors);
-  if (!a.has_predecessors) return;
-  for (VertexId v : a.order) {
-    const auto pa = a.predecessors(v);
-    const auto pb = b.predecessors(v);
-    ASSERT_EQ(pa.size(), pb.size()) << "vertex " << v;
-    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin())) << "vertex "
-                                                              << v;
+/// One level's SPD edges as (child, parent) pairs, ascending.
+using EdgeSlice = std::vector<std::pair<VertexId, VertexId>>;
+
+/// The level edge slices of `dag`, each sorted into an EdgeSlice, after
+/// checking what a slice promises as a sequence: its offsets pair with
+/// level_offsets, every edge runs from level l - 1 into level l, and each
+/// parent's children ascend (the sweep's fold order).
+std::vector<EdgeSlice> CanonicalSlices(const ShortestPathDag& dag) {
+  EXPECT_EQ(dag.edge_offsets.size(), dag.level_offsets.size());
+  std::vector<EdgeSlice> slices;
+  std::vector<VertexId> last_child(dag.dist.size(), kInvalidVertex);
+  for (std::size_t l = 0; l < dag.num_levels(); ++l) {
+    EdgeSlice slice;
+    for (const SpdEdge& edge : dag.level_edges(l)) {
+      EXPECT_EQ(dag.dist[edge.child], l) << "edge into " << edge.child;
+      EXPECT_EQ(dag.dist[edge.parent] + 1, l) << "edge from " << edge.parent;
+      if (last_child[edge.parent] != kInvalidVertex) {
+        EXPECT_LT(last_child[edge.parent], edge.child)
+            << "children of " << edge.parent << " out of order";
+      }
+      last_child[edge.parent] = edge.child;
+      slice.emplace_back(edge.child, edge.parent);
+    }
+    std::sort(slice.begin(), slice.end());
+    slices.push_back(std::move(slice));
   }
+  return slices;
+}
+
+/// Two passes recorded the same SPD edges into every level (as sets; the
+/// slices' sequences may differ between kernels and thread counts).
+void ExpectEdgeSlicesEquivalent(const ShortestPathDag& a,
+                                const ShortestPathDag& b) {
+  EXPECT_EQ(CanonicalSlices(a), CanonicalSlices(b));
 }
 
 // ------------------------------------------------------ reference BFS
@@ -270,13 +272,15 @@ void ExpectPredsIdentical(const ShortestPathDag& a,
 /// BFS over out-edges for the distances, then every level std::sort-ed,
 /// sigma folded over each vertex's in-edge parents in ascending id, and
 /// the textbook backward sweep (levels deepest-first, ascending id within
-/// a level, ascending parents) for the dependencies.
+/// a level, ascending parents) for the dependencies. level_edges[l] holds
+/// the SPD edges into level l as (child, parent) pairs, ascending.
 struct ReferencePass {
   std::vector<std::uint32_t> dist;
   std::vector<SigmaCount> sigma;
   std::vector<VertexId> order;
   std::vector<std::size_t> level_offsets;
   std::vector<std::vector<VertexId>> preds;
+  std::vector<EdgeSlice> level_edges;
   std::vector<double> delta;
 };
 
@@ -324,6 +328,14 @@ ReferencePass ReferenceBfs(const CsrGraph& g, VertexId source) {
     }
     ref.sigma[v] = sv;
   }
+  for (std::size_t l = 0; l + 1 < ref.level_offsets.size(); ++l) {
+    EdgeSlice& slice = ref.level_edges.emplace_back();
+    for (std::size_t i = ref.level_offsets[l]; i < ref.level_offsets[l + 1];
+         ++i) {
+      const VertexId v = ref.order[i];
+      for (VertexId u : ref.preds[v]) slice.emplace_back(v, u);
+    }
+  }
   for (std::size_t l = ref.level_offsets.size() - 1; l-- > 0;) {
     for (std::size_t i = ref.level_offsets[l]; i < ref.level_offsets[l + 1];
          ++i) {
@@ -337,7 +349,7 @@ ReferencePass ReferenceBfs(const CsrGraph& g, VertexId source) {
 }
 
 /// Bitwise comparison of a kernel's pass (and its dependency sweep)
-/// against the reference.
+/// against the reference, and of its level edge slices as sets.
 void ExpectMatchesReference(const BfsSpd& bfs, const std::vector<double>& delta,
                             const ReferencePass& ref) {
   const ShortestPathDag& dag = bfs.dag();
@@ -346,13 +358,7 @@ void ExpectMatchesReference(const BfsSpd& bfs, const std::vector<double>& delta,
   EXPECT_EQ(dag.order, ref.order);
   EXPECT_EQ(dag.level_offsets, ref.level_offsets);
   EXPECT_EQ(delta, ref.delta);
-  if (!dag.has_predecessors) return;
-  for (VertexId v : dag.order) {
-    const auto preds = dag.predecessors(v);
-    ASSERT_TRUE(std::equal(preds.begin(), preds.end(), ref.preds[v].begin(),
-                           ref.preds[v].end()))
-        << "vertex " << v;
-  }
+  EXPECT_EQ(CanonicalSlices(dag), ref.level_edges);
 }
 
 /// A relabeled broom: a hub (id 0) joined to 64 parallel paths of
@@ -390,7 +396,9 @@ TEST(SpdKernelTest, KernelsMatchPlainBfsReferenceOnEveryLevelShape) {
   // one level of n-1 ids (the star from its hub, source 0; 300 is not a
   // multiple of 64), dense multi-word levels (BA, 1000 vertices), levels
   // too sparse for the bitmap (the strided broom from its hub), and a
-  // directed graph (top-down over out-edges, parents over in-edges).
+  // directed graph (top-down over out-edges, parents over in-edges). The
+  // level edge slices must hold exactly the reference's SPD edges, level
+  // by level, with each parent's children ascending.
   std::vector<std::pair<std::string, CsrGraph>> graphs;
   graphs.emplace_back("grid", MakeGrid(9, 23));
   graphs.emplace_back("star", MakeStar(300));
@@ -441,7 +449,7 @@ TEST(SpdKernelTest, IntraPassParallelMatchesSequentialOnGeneratorZoo) {
           sequential.Run(s);
           parallel.Run(s);
           ExpectDagsIdentical(sequential.dag(), parallel.dag());
-          ExpectPredsIdentical(sequential.dag(), parallel.dag());
+          ExpectEdgeSlicesEquivalent(sequential.dag(), parallel.dag());
           const std::vector<double> baseline =
               sequential_acc.Accumulate(sequential);
           const std::vector<double>& deltas =
@@ -477,7 +485,7 @@ TEST(SpdKernelTest, IntraPassParallelShardMergeEdgeCases) {
           sequential.Run(s);
           parallel.Run(s);
           ExpectDagsIdentical(sequential.dag(), parallel.dag());
-          ExpectPredsIdentical(sequential.dag(), parallel.dag());
+          ExpectEdgeSlicesEquivalent(sequential.dag(), parallel.dag());
         }
       }
     }
@@ -562,7 +570,7 @@ TEST(SpdKernelTest, ReuseAcrossSourcesResetsHybridState) {
         BfsSpd fresh(g, base);
         fresh.Run(s);
         ExpectDagsIdentical(reused.dag(), fresh.dag());
-        ExpectPredsIdentical(reused.dag(), fresh.dag());
+        ExpectEdgeSlicesEquivalent(reused.dag(), fresh.dag());
       }
     }
   }
