@@ -237,7 +237,8 @@ void BetweennessEngine::EnsureShards() {
 
 template <typename VertexAt, typename RequestAt>
 std::vector<EstimateReport> BetweennessEngine::ServeSharded(
-    std::size_t count, VertexAt vertex_at, RequestAt request_at) {
+    std::size_t count, VertexAt vertex_at, RequestAt request_at,
+    const WallTimer& call_clock) {
   EnsureShards();
   // Pre-warm each shard from the owning oracle's memo (a vector copy is
   // much cheaper than the pass it replaces), then fan out. Within one
@@ -249,15 +250,14 @@ std::vector<EstimateReport> BetweennessEngine::ServeSharded(
       shard->oracle()->MergeCacheFrom(*oracle_);
     }
   }
+  // Requests were validated against this engine's graph up front, and
+  // shards are bound to the same graph.
   std::vector<EstimateReport> reports = ParallelMap<EstimateReport>(
-      pool(), count, [this, &vertex_at, &request_at](unsigned worker,
-                                                     std::size_t i) {
-        StatusOr<EstimateReport> report =
-            shards_[worker]->Estimate(vertex_at(i), request_at(i));
-        // Requests were validated against this engine's graph up front, and
-        // shards are bound to the same graph.
-        MHBC_DCHECK(report.ok());
-        return std::move(report).value();
+      pool(), count,
+      [this, &vertex_at, &request_at, &call_clock](unsigned worker,
+                                                   std::size_t i) {
+        return shards_[worker]->ServeValidated(vertex_at(i), request_at(i),
+                                               call_clock);
       });
   // Pull the shards' freshly memoized dependency vectors into the owning
   // oracle so sequential queries after the fan-out reuse the passes.
@@ -580,8 +580,8 @@ void BetweennessEngine::ServeSamplesBudget(VertexId r,
 
 void BetweennessEngine::ServeAdaptiveBudget(VertexId r,
                                             const EstimateRequest& request,
+                                            const WallTimer& call_clock,
                                             EstimateReport* report) {
-  WallTimer timer;
   const bool se_mode = request.budget == BudgetKind::kStandardError;
   const EstimatorKind kind = request.kind;
 
@@ -607,7 +607,7 @@ void BetweennessEngine::ServeAdaptiveBudget(VertexId r,
         return;
       }
       if (!se_mode &&
-          timer.ElapsedSeconds() >= request.deadline_seconds) {
+          call_clock.ElapsedSeconds() >= request.deadline_seconds) {
         return;  // deadline reached; converged stays true
       }
       if (budget >= request.max_samples) {
@@ -664,7 +664,7 @@ void BetweennessEngine::ServeAdaptiveBudget(VertexId r,
         report->converged = true;
         return;
       }
-    } else if (timer.ElapsedSeconds() >= request.deadline_seconds) {
+    } else if (call_clock.ElapsedSeconds() >= request.deadline_seconds) {
       return;  // deadline reached; converged stays true
     }
   }
@@ -672,9 +672,14 @@ void BetweennessEngine::ServeAdaptiveBudget(VertexId r,
 
 StatusOr<EstimateReport> BetweennessEngine::Estimate(
     VertexId r, const EstimateRequest& request) {
+  const WallTimer call_clock;
   const Status status = ValidateRequest(r, request);
   if (!status.ok()) return status;
+  return ServeValidated(r, request, call_clock);
+}
 
+EstimateReport BetweennessEngine::ServeValidated(
+    VertexId r, const EstimateRequest& request, const WallTimer& call_clock) {
   EstimateReport report;
   report.vertex = r;
   report.kind = request.kind;
@@ -686,7 +691,7 @@ StatusOr<EstimateReport> BetweennessEngine::Estimate(
       request.budget == BudgetKind::kSamples) {
     ServeSamplesBudget(r, request, &report);
   } else {
-    ServeAdaptiveBudget(r, request, &report);
+    ServeAdaptiveBudget(r, request, call_clock, &report);
   }
 
   report.seconds = timer.ElapsedSeconds();
@@ -699,6 +704,7 @@ StatusOr<EstimateReport> BetweennessEngine::Estimate(
 
 StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateBatch(
     const std::vector<EstimateRequest>& requests) {
+  const WallTimer call_clock;
   bool all_sharded = !requests.empty();
   for (const EstimateRequest& request : requests) {
     const Status status = ValidateRequest(request.vertex, request);
@@ -715,20 +721,20 @@ StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateBatch(
         requests.size(), [&requests](std::size_t i) { return requests[i].vertex; },
         [&requests](std::size_t i) -> const EstimateRequest& {
           return requests[i];
-        });
+        },
+        call_clock);
   }
   std::vector<EstimateReport> reports;
   reports.reserve(requests.size());
   for (const EstimateRequest& request : requests) {
-    StatusOr<EstimateReport> report = Estimate(request.vertex, request);
-    if (!report.ok()) return report.status();
-    reports.push_back(std::move(report).value());
+    reports.push_back(ServeValidated(request.vertex, request, call_clock));
   }
   return reports;
 }
 
 StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateMany(
     const std::vector<VertexId>& vertices, const EstimateRequest& request) {
+  const WallTimer call_clock;
   for (VertexId vertex : vertices) {
     const Status status = ValidateRequest(vertex, request);
     if (!status.ok()) return status;  // fail fast, before any work
@@ -740,14 +746,13 @@ StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateMany(
       vertices.size() >= resolved_threads()) {
     return ServeSharded(
         vertices.size(), [&vertices](std::size_t i) { return vertices[i]; },
-        [&request](std::size_t) -> const EstimateRequest& { return request; });
+        [&request](std::size_t) -> const EstimateRequest& { return request; },
+        call_clock);
   }
   std::vector<EstimateReport> reports;
   reports.reserve(vertices.size());
   for (VertexId vertex : vertices) {
-    StatusOr<EstimateReport> report = Estimate(vertex, request);
-    if (!report.ok()) return report.status();
-    reports.push_back(std::move(report).value());
+    reports.push_back(ServeValidated(vertex, request, call_clock));
   }
   return reports;
 }

@@ -117,12 +117,15 @@ class DistanceProportionalSampler;
 class RkSampler;
 class GeisbergerSampler;
 class ThreadPool;
+class WallTimer;
 
 /// How an EstimateRequest's budget is interpreted.
 enum class BudgetKind {
   /// Spend exactly `samples` samples / chain iterations (kExact: n/a).
   kSamples,
-  /// Keep sampling in batches until `deadline_seconds` of wall clock.
+  /// Keep sampling in batches until `deadline_seconds` of wall clock,
+  /// measured from the start of the Estimate, EstimateMany or
+  /// EstimateBatch call: the vertices of one call share one deadline.
   kDeadline,
   /// Keep sampling in batches until the estimate's standard error drops
   /// to `target_std_error` (or `max_samples` is hit); KADABRA-style
@@ -140,7 +143,8 @@ struct EstimateRequest {
   BudgetKind budget = BudgetKind::kSamples;
   /// kSamples: the exact budget. Other budgets: ignored.
   std::uint64_t samples = 1000;
-  /// kDeadline only: wall-clock budget in seconds (> 0).
+  /// kDeadline only: wall-clock budget in seconds (> 0), for the whole
+  /// call (see BudgetKind::kDeadline).
   double deadline_seconds = 0.0;
   /// kStandardError only: stop once std_error <= this (> 0).
   double target_std_error = 0.0;
@@ -275,12 +279,21 @@ class BetweennessEngine {
   /// Serves heterogeneous requests (each naming its vertex in
   /// `request.vertex`) through the shared caches. Fails fast: the first
   /// invalid request aborts the batch.
+  ///
+  /// kDeadline budgets, here and in EstimateMany, run against one clock
+  /// started when the call begins, on the sequential and the sharded path
+  /// alike, so a k-vertex call overruns its deadline by about one doubling
+  /// batch, not k-fold. A vertex whose turn comes after the deadline still
+  /// gets one batch of `initial_batch` samples, so every report carries
+  /// statistics.
   StatusOr<std::vector<EstimateReport>> EstimateBatch(
       const std::vector<EstimateRequest>& requests);
 
   /// One request applied to many vertices — the multi-vertex serving shape
   /// setup amortizes best over (for kShortestPath, all vertices after the
-  /// first are served from the shared credit vector at zero passes).
+  /// first are served from the shared credit vector at zero passes; for
+  /// the chain kinds at kSamples, every chain proposes the same sources,
+  /// so chains after the first are served from the dependency memo).
   StatusOr<std::vector<EstimateReport>> EstimateMany(
       const std::vector<VertexId>& vertices, const EstimateRequest& request);
 
@@ -364,7 +377,13 @@ class BetweennessEngine {
   template <typename VertexAt, typename RequestAt>
   std::vector<EstimateReport> ServeSharded(std::size_t count,
                                            VertexAt vertex_at,
-                                           RequestAt request_at);
+                                           RequestAt request_at,
+                                           const WallTimer& call_clock);
+
+  /// One validated query. `call_clock` was started when the public call
+  /// began; kDeadline budgets run against it.
+  EstimateReport ServeValidated(VertexId r, const EstimateRequest& request,
+                                const WallTimer& call_clock);
 
   // Lazily-built shared state.
   DependencyOracle* oracle();
@@ -397,6 +416,7 @@ class BetweennessEngine {
   void ServeSamplesBudget(VertexId r, const EstimateRequest& request,
                           EstimateReport* report);
   void ServeAdaptiveBudget(VertexId r, const EstimateRequest& request,
+                           const WallTimer& call_clock,
                            EstimateReport* report);
 
   const CsrGraph* graph_;

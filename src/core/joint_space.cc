@@ -18,7 +18,7 @@ JointSpaceSampler::JointSpaceSampler(const CsrGraph& graph,
       owned_oracle_(shared_oracle ? nullptr
                                   : std::make_unique<DependencyOracle>(graph)),
       oracle_(shared_oracle ? shared_oracle : owned_oracle_.get()),
-      rng_(options.seed) {
+      streams_(options.seed) {
   MHBC_DCHECK(graph.num_vertices() >= 2);
   MHBC_DCHECK(targets_.size() >= 2);
   std::unordered_set<VertexId> seen;
@@ -51,8 +51,11 @@ JointResult JointSpaceSampler::Run(std::uint64_t iterations) {
   };
 
   // Initial state <r0, v0>, both uniform (paper §4.3).
-  std::size_t current_target = static_cast<std::size_t>(rng_.NextBounded(k));
-  VertexId current_v = rng_.NextVertex(n);
+  streams_.BeginRun();
+  Rng* initial = streams_.At(kInitialStream, 0);
+  std::size_t current_target =
+      static_cast<std::size_t>(initial->NextBounded(k));
+  VertexId current_v = initial->NextVertex(n);
   load_row(current_v, &row_current);
 
   auto record_state = [&](std::size_t target_idx, VertexId v,
@@ -71,14 +74,15 @@ JointResult JointSpaceSampler::Run(std::uint64_t iterations) {
   }
 
   for (std::uint64_t t = 1; t <= options_.burn_in + iterations; ++t) {
+    Rng* proposal = streams_.At(kProposalStream, t);
     const std::size_t proposed_target =
-        static_cast<std::size_t>(rng_.NextBounded(k));
-    const VertexId proposed_v = rng_.NextVertex(n);
+        static_cast<std::size_t>(proposal->NextBounded(k));
+    const VertexId proposed_v = proposal->NextVertex(n);
     load_row(proposed_v, &row_proposed);
 
     const double accept_probability = MhAcceptanceProbability(
         row_current[current_target], row_proposed[proposed_target]);
-    if (rng_.NextBernoulli(accept_probability)) {
+    if (streams_.At(kAcceptStream, t)->NextBernoulli(accept_probability)) {
       current_target = proposed_target;
       current_v = proposed_v;
       row_current.swap(row_proposed);

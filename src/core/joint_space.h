@@ -25,13 +25,14 @@
 /// clipped ratios min{1, delta_v(ri)/delta_v(rj)} for *all* pairs at no
 /// extra pass cost. Per iteration: exactly one pass, as in §4.2.
 ///
-/// Random-stream layout: as in the single-space chain
-/// (core/mh_betweenness.h), the accept test draws a uniform only when its
-/// probability lies strictly inside (0, 1) — Rng::NextBernoulli draws
-/// nothing at p <= 0 or p >= 1 — so the stream position of step t+1's
-/// proposal (r', v') depends on pass t. Computing passes ahead of the
-/// chain therefore needs a separate proposal stream (a new determinism
-/// key) or speculation.
+/// Random streams (layout v2, docs/estimators.md "Random streams"): as in
+/// the single-space chain (core/mh_betweenness.h), every draw comes from
+/// a counter stream addressed by (seed, run, stream id, step). The
+/// initial pair (r0, v0) draws at step 0 of kInitialStream, step t's
+/// proposal (r', v') at step t of kProposalStream — target index first,
+/// then vertex — and its accept uniform at step t of kAcceptStream. So
+/// the proposal of step t is a pure function of (seed, run, t), never of
+/// a pass.
 ///
 /// This is the Bennett acceptance-ratio construction from statistical
 /// physics ([5]) that the paper imports: ratios of normalizing constants
@@ -75,8 +76,8 @@ struct JointResult {
 /// Joint-space MH estimator for relative betweenness over a set R.
 ///
 /// Reuse contract: one instance may run any number of chains (each Run is
-/// a fresh chain continuing the instance's random stream); Reset(seed)
-/// rewinds the stream so a cached instance reproduces a fresh one.
+/// a fresh chain on the instance's next run number); Reset(seed) rewinds
+/// the run counter so a cached instance reproduces a fresh one.
 class JointSpaceSampler {
  public:
   /// `targets` (the paper's R) must hold >= 2 distinct valid vertex ids.
@@ -90,10 +91,10 @@ class JointSpaceSampler {
   /// Runs a fresh chain of `iterations` MH steps.
   JointResult Run(std::uint64_t iterations);
 
-  /// Rewinds the random stream to that of a fresh sampler seeded `seed`.
+  /// Rewinds the random streams to those of a fresh sampler seeded `seed`.
   void Reset(std::uint64_t seed) {
     options_.seed = seed;
-    rng_ = Rng(seed);
+    streams_.Reset(seed);
   }
 
   const std::vector<VertexId>& targets() const { return targets_; }
@@ -106,7 +107,7 @@ class JointSpaceSampler {
   JointOptions options_;
   std::unique_ptr<DependencyOracle> owned_oracle_;
   DependencyOracle* oracle_;
-  Rng rng_;
+  CounterRng streams_;
 };
 
 }  // namespace mhbc

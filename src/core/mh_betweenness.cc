@@ -12,7 +12,7 @@ MhBetweennessSampler::MhBetweennessSampler(const CsrGraph& graph,
       owned_oracle_(shared_oracle ? nullptr
                                   : std::make_unique<DependencyOracle>(graph)),
       oracle_(shared_oracle ? shared_oracle : owned_oracle_.get()),
-      rng_(options.seed) {
+      streams_(options.seed) {
   MHBC_DCHECK(graph.num_vertices() >= 2);
 }
 
@@ -25,11 +25,12 @@ MhResult MhBetweennessSampler::Run(VertexId r, std::uint64_t iterations) {
   MhResult result;
   std::unordered_set<VertexId> distinct;
   const std::uint64_t passes_before = oracle_->num_passes();
+  streams_.BeginRun();
 
   // Initial state v0 (uniform unless pinned) and its dependency, 1 pass.
   VertexId current = options_.initial_state != kInvalidVertex
                          ? options_.initial_state
-                         : rng_.NextVertex(n);
+                         : streams_.At(kInitialStream, 0)->NextVertex(n);
   MHBC_DCHECK(current < n);
   double delta_current = oracle_->Dependency(current, r);
 
@@ -56,7 +57,8 @@ MhResult MhBetweennessSampler::Run(VertexId r, std::uint64_t iterations) {
           : static_cast<double>(graph_->num_edges() * 2);
 
   for (std::uint64_t t = 1; t <= options_.burn_in + iterations; ++t) {
-    const VertexId proposed = DrawProposal(*graph_, options_.proposal, &rng_);
+    const VertexId proposed = DrawProposal(*graph_, options_.proposal,
+                                           streams_.At(kProposalStream, t));
     const double delta_proposed = oracle_->Dependency(proposed, r);
 
     // Rao-Blackwellized companion: proposals are iid from q, so
@@ -78,7 +80,7 @@ MhResult MhBetweennessSampler::Run(VertexId r, std::uint64_t iterations) {
                   delta_current, delta_proposed,
                   ProposalMass(*graph_, options_.proposal, current),
                   ProposalMass(*graph_, options_.proposal, proposed));
-    if (rng_.NextBernoulli(accept_probability)) {
+    if (streams_.At(kAcceptStream, t)->NextBernoulli(accept_probability)) {
       current = proposed;
       delta_current = delta_proposed;
       ++result.diagnostics.accepted;

@@ -26,17 +26,16 @@
 /// passes — the "worst case time complexity of processing each sample is
 /// O(|E|)" claim of §4.2.
 ///
-/// Random-stream layout: step t draws its proposal, then one uniform for
-/// the accept test — but only when the acceptance probability lies
-/// strictly inside (0, 1), because Rng::NextBernoulli draws nothing at
-/// p <= 0 or p >= 1. Whether it draws depends on pass t's dependency
-/// value, so the stream position of step t+1's proposal depends on pass
-/// t. Proposals are iid in distribution but not in stream position:
-/// passes cannot be computed ahead of the chain bit-identically. Batching
-/// passes ahead (e.g. a multi-source BFS) needs a separate proposal
-/// stream, which changes the determinism key (every estimate moves), or
-/// speculation that discards work when a certain accept/reject shifts the
-/// stream. tests/rng_test.cc pins the no-draw behavior.
+/// Random streams (layout v2, docs/estimators.md "Random streams"): every
+/// draw comes from a counter stream (util/rng.h CounterRng) addressed by
+/// (seed, run, stream id, step). The initial state draws at step 0 of
+/// kInitialStream; step t draws its proposal at step t of kProposalStream
+/// and its accept uniform at step t of kAcceptStream (core/mh_chain.h).
+/// Each Run takes the instance's next run number. So step t's proposal
+/// is a pure function of (seed, run, t): it does not depend on the
+/// target or on any pass, and chains on different targets reset to one
+/// seed propose the same sources — the engine serves chains 2..k of a
+/// multi-target request from the dependency memo.
 
 namespace mhbc {
 
@@ -87,9 +86,9 @@ struct MhResult {
 /// Reusable single-vertex MH estimator bound to one graph.
 ///
 /// Reuse contract: one instance may run any number of chains (each Run is
-/// a fresh chain continuing the instance's random stream, for any target).
-/// Reset(seed) rewinds the stream so a cached instance reproduces a fresh
-/// one bit-for-bit.
+/// a fresh chain on the instance's next run number, for any target).
+/// Reset(seed) rewinds the run counter so a cached instance reproduces a
+/// fresh one bit-for-bit.
 class MhBetweennessSampler {
  public:
   /// Graph must be non-trivial (n >= 2) and outlive the sampler. A
@@ -108,10 +107,10 @@ class MhBetweennessSampler {
     return Run(r, iterations).estimate;
   }
 
-  /// Rewinds the random stream to that of a fresh sampler seeded `seed`.
+  /// Rewinds the random streams to those of a fresh sampler seeded `seed`.
   void Reset(std::uint64_t seed) {
     options_.seed = seed;
-    rng_ = Rng(seed);
+    streams_.Reset(seed);
   }
 
   const MhOptions& options() const { return options_; }
@@ -127,7 +126,7 @@ class MhBetweennessSampler {
   MhOptions options_;
   std::unique_ptr<DependencyOracle> owned_oracle_;
   DependencyOracle* oracle_;
-  Rng rng_;
+  CounterRng streams_;
 };
 
 }  // namespace mhbc

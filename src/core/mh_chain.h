@@ -23,6 +23,16 @@
 
 namespace mhbc {
 
+/// CounterRng stream ids of both samplers (random-stream layout v2; see
+/// docs/estimators.md "Random streams"): the initial state draws at step
+/// 0 of kInitialStream, and step t >= 1 draws its proposal from
+/// kProposalStream and its accept uniform from kAcceptStream, each at t.
+enum MhStream : std::uint64_t {
+  kInitialStream = 0,
+  kProposalStream = 1,
+  kAcceptStream = 2,
+};
+
 /// Proposal distribution for the chain's candidate states. The paper uses
 /// the uniform proposal; the degree-proportional alternative is the E12
 /// ablation (with the corresponding Hastings correction applied).

@@ -241,10 +241,11 @@ std::string Server::ExecuteEstimate(Job& job, GraphEntry& entry) {
       return ErrorFor(request, ServeErrorClass::kDeadline,
                       "deadline expired before execution began");
     }
-    // The remaining wall budget becomes the engine's stop rule; the
-    // requested sample count becomes the ceiling, so a generous deadline
-    // reproduces the kSamples answer and a tight one returns a partial
-    // report (flagged below) instead of an error.
+    // The remaining wall budget becomes the engine's stop rule, shared by
+    // every vertex of the request (EstimateMany measures it from its own
+    // start); the requested sample count becomes the ceiling, so a
+    // generous deadline reproduces the kSamples answer and a tight one
+    // returns partial reports (flagged below) instead of an error.
     engine_request.budget = BudgetKind::kDeadline;
     engine_request.deadline_seconds = remaining_seconds;
     engine_request.max_samples = request.samples;

@@ -11,6 +11,15 @@ inline std::uint64_t Rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+// One hashing round of the counter streams: folds `word` into the running
+// hash. For a fixed word this is a bijection of `hash` (xor, then the
+// SplitMix64 increment and finalizer), which is what makes tuples that
+// differ in one coordinate hash apart.
+std::uint64_t Absorb(std::uint64_t hash, std::uint64_t word) {
+  std::uint64_t state = hash ^ word;
+  return SplitMix64(&state);
+}
+
 }  // namespace
 
 std::uint64_t SplitMix64(std::uint64_t* state) {
@@ -100,6 +109,22 @@ Rng Rng::Fork(std::uint64_t label) {
   std::uint64_t mix = NextU64();
   std::uint64_t sm = mix ^ (label * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL);
   return Rng(SplitMix64(&sm));
+}
+
+void CounterRng::Reset(std::uint64_t seed) {
+  seed_ = seed;
+  next_run_ = 0;
+}
+
+void CounterRng::BeginRun() {
+  run_key_ = Absorb(Absorb(0, seed_), next_run_);
+  ++next_run_;
+}
+
+Rng* CounterRng::At(std::uint64_t stream, std::uint64_t step) {
+  MHBC_DCHECK(next_run_ > 0);
+  rng_ = Rng(Absorb(Absorb(run_key_, stream), step));
+  return &rng_;
 }
 
 std::size_t SampleDiscrete(const std::vector<double>& weights, Rng* rng) {

@@ -15,6 +15,8 @@
 /// bit-for-bit. The core generator is xoshiro256**, seeded via SplitMix64
 /// per the reference recommendation; both are tiny, fast, and ours (no
 /// dependence on unspecified std:: distribution implementations).
+/// CounterRng gives the MH samplers streams addressed by step instead of
+/// by position, so a chain's proposals do not depend on its passes.
 
 namespace mhbc {
 
@@ -69,6 +71,39 @@ class Rng {
   std::array<std::uint64_t, 4> s_;
   bool has_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;
+};
+
+/// Counter-based random streams, as in counter-based generators (Salmon et
+/// al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011): the
+/// generator for step `step` of stream `stream` is an Rng seeded by hashing
+/// (seed, run, stream, step) through SplitMix64, so every value it draws is
+/// a pure function of those four numbers and never of what other steps
+/// drew. Each hashing round is a bijection of the running hash, so changing
+/// any one of the four always changes the generator.
+///
+/// `run` is a per-instance counter: BeginRun() starts run 0 after
+/// construction or Reset(seed), then run 1, and so on, so the runs of one
+/// instance draw afresh while instances reset to one seed draw alike.
+class CounterRng {
+ public:
+  explicit CounterRng(std::uint64_t seed) { Reset(seed); }
+
+  /// Rewinds to before run 0 under `seed`.
+  void Reset(std::uint64_t seed);
+
+  /// Starts the next run.
+  void BeginRun();
+
+  /// The generator for (seed, current run, stream, step), freshly seeded.
+  /// It stays valid until the next At call on this instance. Requires a
+  /// BeginRun since construction or Reset.
+  Rng* At(std::uint64_t stream, std::uint64_t step);
+
+ private:
+  std::uint64_t seed_ = 0;
+  std::uint64_t next_run_ = 0;
+  std::uint64_t run_key_ = 0;  // hash of (seed, run)
+  Rng rng_{0};
 };
 
 /// Samples an index from unnormalized non-negative weights in O(n).

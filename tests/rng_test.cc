@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
+
+#include "core/mh_chain.h"
 
 namespace mhbc {
 namespace {
@@ -104,11 +107,12 @@ TEST(RngTest, BernoulliExtremes) {
 }
 
 TEST(RngTest, CertainBernoulliDrawsNothing) {
-  // The MH samplers rely on this stream shape, and it is why their passes
-  // cannot be computed ahead: an acceptance probability of 0 or 1 draws
-  // no number, so where the next proposal sits in the stream depends on
-  // the previous pass (core/mh_betweenness.h). Probabilities outside
-  // [0, 1] clamp to the same no-draw case.
+  // An acceptance probability of 0 or 1 draws no number, so a caller
+  // drawing from one positional stream finds its next value at a position
+  // that depends on p. The MH samplers no longer depend on this: they
+  // draw each step's accept uniform from a counter stream of its own
+  // (CounterRng). Probabilities outside [0, 1] clamp to the same no-draw
+  // case.
   for (double p : {0.0, 1.0, -0.5, 2.0}) {
     Rng rng(0xBE);
     Rng twin(0xBE);
@@ -177,6 +181,101 @@ TEST(RngTest, ForkLabelsDiffer) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (c1.NextU64() == c2.NextU64());
   EXPECT_EQ(same, 0);
+}
+
+/// First 64 bits of the counter stream at (seed, run, stream, step).
+std::uint64_t CounterDraw(std::uint64_t seed, std::uint64_t run,
+                          std::uint64_t stream, std::uint64_t step) {
+  CounterRng streams(seed);
+  for (std::uint64_t r = 0; r <= run; ++r) streams.BeginRun();
+  return streams.At(stream, step)->NextU64();
+}
+
+TEST(CounterRngTest, RepeatsForFixedCoordinates) {
+  CounterRng streams(0xC0FFEE);
+  streams.BeginRun();
+  streams.BeginRun();
+  std::vector<std::uint64_t> first;
+  Rng* rng = streams.At(3, 17);
+  for (int i = 0; i < 8; ++i) first.push_back(rng->NextU64());
+  // Other coordinates in between do not move the stream at (3, 17).
+  streams.At(4, 17)->NextU64();
+  streams.At(3, 18)->NextU64();
+  Rng* again = streams.At(3, 17);
+  for (std::uint64_t value : first) EXPECT_EQ(again->NextU64(), value);
+  EXPECT_EQ(CounterDraw(0xC0FFEE, 1, 3, 17), first[0]);
+}
+
+TEST(CounterRngTest, ResetRewindsTheRunCounter) {
+  CounterRng streams(5);
+  streams.BeginRun();
+  streams.BeginRun();
+  const std::uint64_t run1 = streams.At(0, 0)->NextU64();
+  streams.Reset(5);
+  streams.BeginRun();
+  EXPECT_EQ(streams.At(0, 0)->NextU64(), CounterDraw(5, 0, 0, 0));
+  streams.BeginRun();
+  EXPECT_EQ(streams.At(0, 0)->NextU64(), run1);
+}
+
+TEST(CounterRngTest, ChangingAnyOneCoordinateChangesTheStream) {
+  const std::uint64_t base = CounterDraw(11, 2, 1, 40);
+  EXPECT_NE(CounterDraw(12, 2, 1, 40), base);
+  EXPECT_NE(CounterDraw(11, 3, 1, 40), base);
+  EXPECT_NE(CounterDraw(11, 2, 2, 40), base);
+  EXPECT_NE(CounterDraw(11, 2, 1, 41), base);
+  // Neighboring steps of one stream never repeat a value.
+  CounterRng streams(11);
+  streams.BeginRun();
+  std::set<std::uint64_t> seen;
+  for (std::uint64_t step = 0; step < 10'000; ++step) {
+    seen.insert(streams.At(kProposalStream, step)->NextU64());
+  }
+  EXPECT_EQ(seen.size(), 10'000u);
+}
+
+TEST(CounterRngTest, BoundedDrawsPassChiSquare) {
+  // The first NextBounded(10) of each of 100k steps: the chi-square
+  // statistic over 10 cells has 9 degrees of freedom, and 27.88 is its
+  // 0.999 quantile.
+  constexpr std::uint64_t kCells = 10;
+  constexpr std::uint64_t kSteps = 100'000;
+  CounterRng streams(0x5eed);
+  streams.BeginRun();
+  std::vector<double> counts(kCells, 0.0);
+  for (std::uint64_t step = 0; step < kSteps; ++step) {
+    counts[streams.At(kProposalStream, step)->NextBounded(kCells)] += 1.0;
+  }
+  const double expected = static_cast<double>(kSteps) / kCells;
+  double chi_square = 0.0;
+  for (double count : counts) {
+    chi_square += (count - expected) * (count - expected) / expected;
+  }
+  EXPECT_LT(chi_square, 27.88);
+}
+
+TEST(CounterRngTest, ProposalAndAcceptStreamsUncorrelated) {
+  // Pearson correlation of the two streams' uniforms at the same step;
+  // under independence it is about N(0, 1/N), so 4/sqrt(N) bounds it.
+  constexpr int kSteps = 100'000;
+  CounterRng streams(0xACCE97);
+  streams.BeginRun();
+  double sum_p = 0.0, sum_a = 0.0, sum_pp = 0.0, sum_aa = 0.0, sum_pa = 0.0;
+  for (int step = 1; step <= kSteps; ++step) {
+    const double p = streams.At(kProposalStream, step)->NextDouble();
+    const double a = streams.At(kAcceptStream, step)->NextDouble();
+    sum_p += p;
+    sum_a += a;
+    sum_pp += p * p;
+    sum_aa += a * a;
+    sum_pa += p * a;
+  }
+  const double n = kSteps;
+  const double cov = sum_pa / n - (sum_p / n) * (sum_a / n);
+  const double var_p = sum_pp / n - (sum_p / n) * (sum_p / n);
+  const double var_a = sum_aa / n - (sum_a / n) * (sum_a / n);
+  const double correlation = cov / std::sqrt(var_p * var_a);
+  EXPECT_LT(std::abs(correlation), 4.0 / std::sqrt(n));
 }
 
 TEST(SampleDiscreteTest, SingletonAlwaysChosen) {

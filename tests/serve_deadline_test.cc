@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/timer.h"
 
 namespace mhbc::serve {
 namespace {
@@ -28,10 +29,11 @@ namespace {
 constexpr std::uint64_t kHugeSamples = 1u << 29;
 
 std::string EstimateLine(std::uint64_t id, std::uint64_t samples,
-                         double deadline_ms) {
+                         double deadline_ms,
+                         const std::string& vertices = "[0]") {
   std::string line = "{\"id\": " + std::to_string(id) +
                      ", \"method\": \"estimate\", \"graph\": \"caveman-36\", "
-                     "\"vertices\": [0], \"samples\": " +
+                     "\"vertices\": " + vertices + ", \"samples\": " +
                      std::to_string(samples);
   if (deadline_ms >= 0.0) {
     line += ", \"deadline_ms\": " + JsonDouble(deadline_ms);
@@ -116,6 +118,26 @@ TEST_F(ServeDeadlineTest, MidFlightDeadlineReturnsPartialFlaggedReports) {
   const JsonValue* flag = result->Find("reports")->array.at(0).Find("flag");
   ASSERT_NE(flag, nullptr);
   EXPECT_EQ(flag->string_value, "kDeadline");
+}
+
+TEST_F(ServeDeadlineTest, MultiVertexRequestSharesOneDeadline) {
+  // The vertices of one request share its deadline: the engine measures a
+  // kDeadline budget from the start of EstimateMany, not per vertex. The
+  // first vertex's doubling loop may overshoot up to 2x; the later ones
+  // get one minimal batch each, so three vertices take well under 3x.
+  MakeServer(/*workers=*/1, /*queue_capacity=*/4);
+  constexpr double kDeadlineMs = 300.0;
+  const WallTimer timer;
+  const ServeResponse response = MustParse(server_->Call(EstimateLine(
+      /*id=*/9, kHugeSamples, kDeadlineMs, /*vertices=*/"[0, 7, 20]")));
+  const double elapsed_ms = timer.ElapsedSeconds() * 1000.0;
+  ASSERT_TRUE(response.ok) << response.message;
+  ASSERT_EQ(response.reports.size(), 3u);
+  for (const WireReport& report : response.reports) {
+    EXPECT_TRUE(report.deadline_flagged) << "vertex " << report.vertex;
+    EXPECT_GT(report.samples_used, 0u);
+  }
+  EXPECT_LT(elapsed_ms, 3.0 * kDeadlineMs);
 }
 
 TEST_F(ServeDeadlineTest, GenerousDeadlineCompletesUnflagged) {
