@@ -1,12 +1,12 @@
 // E16 — Adaptive-budget extension: the Eq. 14 budget needs mu(r) (as hard
-// as BC(r) itself); the adaptive runner stops from the chain's own
-// variance. This harness compares realized adaptive budgets and errors
-// against the oracle Eq. 14 budget across mu regimes.
+// as BC(r) itself); the engine's kStandardError budget stops from the
+// chain's own variance. This harness compares realized adaptive budgets
+// and errors against the oracle Eq. 14 budget across mu regimes.
 
 #include <cmath>
 
 #include "bench_common.h"
-#include "core/adaptive.h"
+#include "centrality/engine.h"
 #include "core/theory.h"
 #include "datasets/registry.h"
 #include "graph/generators.h"
@@ -38,16 +38,20 @@ int main() {
     const double limit = ChainLimitEstimate(profile);
     const std::uint64_t oracle = SampleBound(mu, kEps, 0.1);
 
-    AdaptiveOptions options;
-    options.seed = 0xE16;
-    options.epsilon = kEps;
-    options.max_iterations = 1 << 17;
-    const AdaptiveResult result = AdaptiveMhEstimate(c.graph, c.r, options);
+    // Stop once the confidence half-width is at most kEps.
+    BetweennessEngine engine(c.graph);
+    EstimateRequest request;
+    request.kind = EstimatorKind::kMetropolisHastings;
+    request.budget = BudgetKind::kStandardError;
+    request.target_std_error = kEps / kConfidenceZ;
+    request.max_samples = 1 << 17;
+    request.seed = 0xE16;
+    const EstimateReport report = engine.Estimate(c.r, request).value();
     table.AddRow({c.name, FormatDouble(mu, 1), FormatCount(oracle),
-                  FormatCount(result.iterations),
-                  result.converged ? "yes" : "no",
-                  FormatScientific(std::fabs(result.estimate - limit), 2),
-                  FormatScientific(result.half_width, 2)});
+                  FormatCount(report.samples_used),
+                  report.converged ? "yes" : "no",
+                  FormatScientific(std::fabs(report.value - limit), 2),
+                  FormatScientific(report.ci_half_width, 2)});
   }
   bench::PrintTable(
       "E16: adaptive budgets track the mu regime without knowing mu", table);

@@ -1,16 +1,10 @@
 #include "baselines/distance_sampler.h"
 
+#include <algorithm>
+
 #include "sp/distance.h"
 
 namespace mhbc {
-
-DistanceProportionalSampler::DistanceProportionalSampler(
-    const CsrGraph& graph, std::uint64_t seed, DependencyOracle* shared_oracle)
-    : graph_(&graph),
-      owned_oracle_(shared_oracle ? nullptr
-                                  : std::make_unique<DependencyOracle>(graph)),
-      oracle_(shared_oracle ? shared_oracle : owned_oracle_.get()),
-      rng_(seed) {}
 
 void DistanceProportionalSampler::PrepareTarget(VertexId r) {
   if (prepared_target_ == r) return;
@@ -30,12 +24,17 @@ void DistanceProportionalSampler::PrepareTarget(VertexId r) {
     }
   }
   oracle_->RecordSetupPasses(1);  // the distance pass above is real work
+  prepared_target_ = r;
+  if (std::all_of(weights.begin(), weights.end(),
+                  [](double w) { return w == 0.0; })) {
+    table_.reset();
+    return;
+  }
   table_ = std::make_unique<DiscreteSampler>(weights);
   probabilities_.assign(n, 0.0);
   for (VertexId v = 0; v < n; ++v) {
     probabilities_[v] = table_->Probability(v);
   }
-  prepared_target_ = r;
 }
 
 double DistanceProportionalSampler::Estimate(VertexId r,
@@ -43,8 +42,8 @@ double DistanceProportionalSampler::Estimate(VertexId r,
   MHBC_DCHECK(r < graph_->num_vertices());
   MHBC_DCHECK(num_samples > 0);
   const double n = static_cast<double>(graph_->num_vertices());
-  MHBC_DCHECK(n >= 2.0);
   PrepareTarget(r);
+  if (table_ == nullptr) return 0.0;  // r reaches nothing: BC(r) == 0
   double acc = 0.0;
   for (std::uint64_t i = 0; i < num_samples; ++i) {
     const auto s = static_cast<VertexId>(table_->Sample(&rng_));

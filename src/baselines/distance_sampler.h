@@ -4,9 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "exact/dependency_oracle.h"
-#include "graph/csr_graph.h"
-#include "util/rng.h"
+#include "baselines/source_sampler.h"
 
 /// \file
 /// Distance-proportional source sampler of Chehreghani [13] (§3.2 of the
@@ -23,43 +21,27 @@ namespace mhbc {
 ///
 /// Setup costs one distance pass from r (recorded in num_passes; cached
 /// between calls with the same r); each sample costs one shortest-path
-/// pass.
+/// pass. A target that reaches no other vertex lies on no shortest path,
+/// so its estimate is exactly 0 and draws nothing.
 ///
-/// Reuse contract: an instance may serve any number of Estimate calls for
-/// any targets; the proposal table is rebuilt only when the target
-/// changes. Reset(seed) rewinds the random stream so a cached instance
-/// reproduces a fresh one bit-for-bit (the distance table is
-/// deterministic, so it is deliberately *not* invalidated by Reset).
-class DistanceProportionalSampler {
+/// The proposal table is rebuilt only when the target changes; Reset
+/// leaves it alone (it is deterministic).
+class DistanceProportionalSampler : public SourceSampler {
  public:
-  /// Graph must outlive the sampler. A non-null `shared_oracle` (bound to
-  /// the same graph, outliving the sampler) replaces the internally owned
-  /// one; see DependencyOracle for the memoization this enables.
   DistanceProportionalSampler(const CsrGraph& graph, std::uint64_t seed,
-                              DependencyOracle* shared_oracle = nullptr);
+                              DependencyOracle* shared_oracle = nullptr)
+      : SourceSampler(graph, seed, shared_oracle) {}
 
-  /// Paper-normalized estimate of BC(r) from `num_samples` draws.
-  double Estimate(VertexId r, std::uint64_t num_samples);
-
-  /// Rewinds the random stream to that of a fresh sampler seeded `seed`.
-  void Reset(std::uint64_t seed) { rng_ = Rng(seed); }
-
-  /// Total shortest-path passes, *including* the distance-setup pass each
-  /// prepared target costs (a shared oracle also counts the other users'
-  /// work).
-  std::uint64_t num_passes() const { return oracle_->num_passes(); }
+  double Estimate(VertexId r, std::uint64_t num_samples) override;
 
  private:
   /// (Re)builds the distance table for target r (cached between calls with
   /// the same r). Records the distance pass with the oracle.
   void PrepareTarget(VertexId r);
 
-  const CsrGraph* graph_;
-  std::unique_ptr<DependencyOracle> owned_oracle_;
-  DependencyOracle* oracle_;
-  Rng rng_;
   VertexId prepared_target_ = kInvalidVertex;
   std::vector<double> probabilities_;  // indexed by vertex, 0 at r
+  /// Null when r reaches no other vertex.
   std::unique_ptr<DiscreteSampler> table_;
 };
 

@@ -3,19 +3,17 @@
 namespace mhbc {
 
 GeisbergerSampler::GeisbergerSampler(const CsrGraph& graph,
-                                     std::uint64_t seed, SpdOptions spd)
-    : graph_(&graph), bfs_(graph, spd), rng_(seed) {
+                                     std::uint64_t seed,
+                                     DependencyOracle* shared_oracle)
+    : SourceSampler(graph, seed, shared_oracle) {
   MHBC_DCHECK(!graph.weighted());
-  MHBC_DCHECK(graph.num_vertices() >= 2);
   aux_.assign(graph.num_vertices(), 0.0);
   scaled_.assign(graph.num_vertices(), 0.0);
   coeff_.assign(graph.num_vertices(), 0.0);
 }
 
 const std::vector<double>& GeisbergerSampler::ScaledDependencies(VertexId s) {
-  bfs_.Run(s);
-  ++num_passes_;
-  const ShortestPathDag& dag = bfs_.dag();
+  const ShortestPathDag& dag = oracle_->Pass(s);
   for (VertexId v : touched_) {
     aux_[v] = 0.0;
     scaled_[v] = 0.0;

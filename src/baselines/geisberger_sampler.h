@@ -3,9 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr_graph.h"
-#include "sp/bfs_spd.h"
-#include "util/rng.h"
+#include "baselines/source_sampler.h"
 
 /// \file
 /// Geisberger-Sanders-Schultes linear-scaling source sampler ([17], §3.2 of
@@ -20,24 +18,21 @@
 
 namespace mhbc {
 
-/// Linear-scaling betweenness estimator for a single vertex.
-class GeisbergerSampler {
+/// Linear-scaling betweenness estimator for a single vertex (unweighted
+/// graphs only). Each sample runs one BFS pass on the oracle
+/// (DependencyOracle::Pass: counted, never memoized) and sweeps its DAG
+/// with the scaled recursion; estimates are bit-identical across the
+/// oracle's kernels, α/β settings and thread counts (the scaled sweep
+/// folds each level's edge slice like the dependency sweep,
+/// sp/dependency.h).
+class GeisbergerSampler : public SourceSampler {
  public:
-  /// `spd` configures the BFS kernel; estimates are bit-identical across
-  /// kernels, α/β settings and thread counts (the scaled sweep folds each
-  /// level's edge slice like the dependency sweep, sp/dependency.h).
-  explicit GeisbergerSampler(const CsrGraph& graph, std::uint64_t seed,
-                             SpdOptions spd = SpdOptions());
+  GeisbergerSampler(const CsrGraph& graph, std::uint64_t seed,
+                    DependencyOracle* shared_oracle = nullptr);
 
   /// Paper-normalized estimate of BC(r) from `num_samples` uniform sources.
   /// Per sample: one BFS pass + one linear-scaled accumulation (O(|E|)).
-  double Estimate(VertexId r, std::uint64_t num_samples);
-
-  /// Rewinds the random stream to that of a fresh sampler seeded `seed`
-  /// (reuse contract: consecutive Estimate calls continue one stream).
-  void Reset(std::uint64_t seed) { rng_ = Rng(seed); }
-
-  std::uint64_t num_passes() const { return num_passes_; }
+  double Estimate(VertexId r, std::uint64_t num_samples) override;
 
  private:
   /// Linear-scaled dependency of source s on every vertex, via the
@@ -45,14 +40,10 @@ class GeisbergerSampler {
   /// (1/d(s,w) + A(w)), delta'(v) = d(s,v) * A(v).
   const std::vector<double>& ScaledDependencies(VertexId s);
 
-  const CsrGraph* graph_;
-  BfsSpd bfs_;
-  Rng rng_;
   std::vector<double> aux_;     // A(v)
   std::vector<double> scaled_;  // delta'(v)
   std::vector<double> coeff_;   // (1/d(s,w) + A(w)) / sigma_sw, per level
   std::vector<VertexId> touched_;
-  std::uint64_t num_passes_ = 0;
 };
 
 }  // namespace mhbc

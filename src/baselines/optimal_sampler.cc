@@ -4,14 +4,6 @@
 
 namespace mhbc {
 
-OptimalSampler::OptimalSampler(const CsrGraph& graph, std::uint64_t seed,
-                               DependencyOracle* shared_oracle)
-    : graph_(&graph),
-      owned_oracle_(shared_oracle ? nullptr
-                                  : std::make_unique<DependencyOracle>(graph)),
-      oracle_(shared_oracle ? shared_oracle : owned_oracle_.get()),
-      rng_(seed) {}
-
 void OptimalSampler::PrepareTarget(VertexId r) {
   if (prepared_target_ == r) return;
   const std::vector<double> profile = DependencyProfile(*graph_, r);

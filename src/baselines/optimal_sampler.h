@@ -4,9 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "exact/dependency_oracle.h"
-#include "graph/csr_graph.h"
-#include "util/rng.h"
+#include "baselines/source_sampler.h"
 
 /// \file
 /// The *optimal* sampler of Chehreghani [13] (paper Eq. 5): sources drawn
@@ -21,38 +19,25 @@
 
 namespace mhbc {
 
-/// Zero-variance reference sampler (needs O(nm) setup per target).
-///
-/// Reuse contract: serves repeated Estimate calls for any targets (the
-/// Eq. 5 table is rebuilt only on target change, n recorded setup passes);
-/// Reset(seed) rewinds the random stream to a fresh sampler's.
-class OptimalSampler {
+/// Zero-variance reference sampler (needs O(nm) setup per target). The
+/// Eq. 5 table is rebuilt only on target change (n recorded setup passes).
+class OptimalSampler : public SourceSampler {
  public:
-  /// A non-null `shared_oracle` (same graph, outliving the sampler)
-  /// replaces the internally owned one.
   OptimalSampler(const CsrGraph& graph, std::uint64_t seed,
-                 DependencyOracle* shared_oracle = nullptr);
+                 DependencyOracle* shared_oracle = nullptr)
+      : SourceSampler(graph, seed, shared_oracle) {}
 
   /// Paper-normalized estimate (equal to the exact value for any
   /// num_samples >= 1, up to floating-point accumulation).
-  double Estimate(VertexId r, std::uint64_t num_samples);
+  double Estimate(VertexId r, std::uint64_t num_samples) override;
 
   /// The exact stationary distribution P_r[.] of Eq. 5 for target r
   /// (computes the dependency profile on first use per target).
   const std::vector<double>& probabilities(VertexId r);
 
-  /// Rewinds the random stream to that of a fresh sampler seeded `seed`.
-  void Reset(std::uint64_t seed) { rng_ = Rng(seed); }
-
-  std::uint64_t num_passes() const { return oracle_->num_passes(); }
-
  private:
   void PrepareTarget(VertexId r);
 
-  const CsrGraph* graph_;
-  std::unique_ptr<DependencyOracle> owned_oracle_;
-  DependencyOracle* oracle_;
-  Rng rng_;
   VertexId prepared_target_ = kInvalidVertex;
   std::vector<double> probabilities_;
   double raw_betweenness_ = 0.0;  // normalization constant of Eq. 5

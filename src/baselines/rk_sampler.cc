@@ -4,34 +4,16 @@
 
 namespace mhbc {
 
-RkSampler::RkSampler(const CsrGraph& graph, std::uint64_t seed,
-                     SpdOptions spd)
-    : graph_(&graph), rng_(seed) {
-  MHBC_DCHECK(graph.num_vertices() >= 2);
-  if (graph.weighted()) {
-    delta_ = std::make_unique<DeltaSpd>(graph, spd);
-  } else {
-    bfs_ = std::make_unique<BfsSpd>(graph, spd);
-  }
-}
-
 void RkSampler::SampleOnePath(std::vector<double>* credit) {
   const VertexId n = graph_->num_vertices();
   VertexId s = rng_.NextVertex(n);
   VertexId t = rng_.NextVertex(n);
   while (t == s) t = rng_.NextVertex(n);
-  ++num_passes_;
 
-  const ShortestPathDag* dag;
-  if (delta_ != nullptr) {
-    delta_->Run(s);
-    dag = &delta_->dag();
-    if (dag->wdist[t] < 0.0) return;  // zero-credit sample
-  } else {
-    bfs_->Run(s);
-    dag = &bfs_->dag();
-    if (dag->dist[t] == kUnreachedDistance) return;  // zero-credit sample
-  }
+  const ShortestPathDag& dag = oracle_->Pass(s);
+  const bool reached = graph_->weighted() ? dag.wdist[t] >= 0.0
+                                          : dag.dist[t] != kUnreachedDistance;
+  if (!reached) return;  // zero-credit sample
 
   // Backtrack from t, choosing predecessor z with probability
   // sigma_sz / sigma_sw, which selects each shortest s-t path uniformly.
@@ -42,16 +24,16 @@ void RkSampler::SampleOnePath(std::vector<double>* credit) {
   VertexId w = t;
   while (w != s) {
     parent_scratch_.clear();
-    ForEachParent(*dag, *graph_, w,
+    ForEachParent(dag, *graph_, w,
                   [this](VertexId z) { parent_scratch_.push_back(z); });
     MHBC_DCHECK(!parent_scratch_.empty());
-    const double total = static_cast<double>(dag->sigma[w]);
+    const double total = static_cast<double>(dag.sigma[w]);
     double target = rng_.NextDouble() * total;
     // The fp tail (target still >= 0 after every parent) falls back to the
     // last parent.
     VertexId chosen = parent_scratch_.back();
     for (VertexId z : parent_scratch_) {
-      target -= static_cast<double>(dag->sigma[z]);
+      target -= static_cast<double>(dag.sigma[z]);
       if (target < 0.0) {
         chosen = z;
         break;

@@ -1,13 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "graph/csr_graph.h"
-#include "sp/bfs_spd.h"
-#include "sp/delta_spd.h"
-#include "util/rng.h"
+#include "baselines/source_sampler.h"
 
 /// \file
 /// Riondato-Kornaropoulos shortest-path sampler ([30], §3.2 of the paper):
@@ -21,23 +17,25 @@
 
 namespace mhbc {
 
-/// Shortest-path sampling estimator.
-class RkSampler {
+/// Shortest-path sampling estimator. Each sample runs one pass from s on
+/// the oracle (DependencyOracle::Pass: counted, never memoized) and walks
+/// its DAG back from t. The sampled paths — and therefore the estimates —
+/// are bit-identical across the oracle's kernels, α/β settings, thread
+/// counts, and bucket widths: the backtrack walks parents in a fixed
+/// canonical order either way.
+class RkSampler : public SourceSampler {
  public:
-  /// `spd` configures the pass kernel (BFS unweighted, canonical-wave
-  /// delta-stepping weighted). The sampled paths — and therefore the
-  /// estimates — are bit-identical across kernels, α/β settings, thread
-  /// counts, and bucket widths: the backtrack walks parents in a fixed
-  /// canonical order either way.
-  explicit RkSampler(const CsrGraph& graph, std::uint64_t seed,
-                     SpdOptions spd = SpdOptions());
+  RkSampler(const CsrGraph& graph, std::uint64_t seed,
+            DependencyOracle* shared_oracle = nullptr)
+      : SourceSampler(graph, seed, shared_oracle) {}
 
   /// Paper-normalized estimate of BC(r) from `num_samples` sampled paths.
   /// Per sample: one shortest-path pass + one backtrack.
-  double Estimate(VertexId r, std::uint64_t num_samples);
+  double Estimate(VertexId r, std::uint64_t num_samples) override;
 
   /// Estimates all vertices at once from `num_samples` paths (the [30]
-  /// use case; the single-vertex harnesses read one entry).
+  /// use case; the single-vertex harnesses read one entry). Continues the
+  /// same stream as Estimate.
   std::vector<double> EstimateAll(std::uint64_t num_samples);
 
   /// VC-dimension sample bound of [30]: r = (c/eps^2) *
@@ -47,13 +45,6 @@ class RkSampler {
   static std::uint64_t SampleBound(std::uint32_t vertex_diameter, double eps,
                                    double delta);
 
-  /// Rewinds the random stream to that of a fresh sampler seeded `seed`
-  /// (reuse contract: consecutive Estimate/EstimateAll calls continue one
-  /// stream, so batched credit accumulation equals a single full run).
-  void Reset(std::uint64_t seed) { rng_ = Rng(seed); }
-
-  std::uint64_t num_passes() const { return num_passes_; }
-
  private:
   /// Samples one shortest path; adds 1 to `credit[v]` for each interior
   /// vertex v of the chosen path. A disconnected pair contributes no credit
@@ -61,13 +52,8 @@ class RkSampler {
   /// graphs).
   void SampleOnePath(std::vector<double>* credit);
 
-  const CsrGraph* graph_;
-  std::unique_ptr<BfsSpd> bfs_;
-  std::unique_ptr<DeltaSpd> delta_;
-  Rng rng_;
   /// Parents of the backtrack's current vertex (reused across steps).
   std::vector<VertexId> parent_scratch_;
-  std::uint64_t num_passes_ = 0;
 };
 
 }  // namespace mhbc

@@ -2,20 +2,10 @@
 
 namespace mhbc {
 
-UniformSourceSampler::UniformSourceSampler(const CsrGraph& graph,
-                                           std::uint64_t seed,
-                                           DependencyOracle* shared_oracle)
-    : graph_(&graph),
-      owned_oracle_(shared_oracle ? nullptr
-                                  : std::make_unique<DependencyOracle>(graph)),
-      oracle_(shared_oracle ? shared_oracle : owned_oracle_.get()),
-      rng_(seed) {}
-
 double UniformSourceSampler::Estimate(VertexId r, std::uint64_t num_samples) {
   MHBC_DCHECK(r < graph_->num_vertices());
   MHBC_DCHECK(num_samples > 0);
   const VertexId n = graph_->num_vertices();
-  MHBC_DCHECK(n >= 2);
   double acc = 0.0;
   for (std::uint64_t i = 0; i < num_samples; ++i) {
     const VertexId s = rng_.NextVertex(n);

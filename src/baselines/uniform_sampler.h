@@ -1,11 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "exact/dependency_oracle.h"
-#include "graph/csr_graph.h"
-#include "util/rng.h"
+#include "baselines/source_sampler.h"
 
 /// \file
 /// Uniform source sampling baseline (Bader et al. 2007 style, and the
@@ -18,37 +15,14 @@ namespace mhbc {
 ///
 /// Unbiased: with s ~ Uniform(V), E[delta_{s.}(r)] = raw BC(r) / n, so
 /// mean(delta) / (n-1) estimates the paper-normalized BC(r) (Eq. 1).
-/// Per sample: one shortest-path pass.
-///
-/// Reuse contract: a sampler instance may serve any number of Estimate
-/// calls (for any targets). Reset(seed) rewinds the random stream so a
-/// cached instance reproduces a fresh one bit-for-bit; consecutive
-/// Estimate calls continue one stream, so splitting a budget into batches
-/// and weight-averaging the batch means equals a single full-budget call.
-class UniformSourceSampler {
+/// Per sample: one shortest-path pass (or a memo hit on a shared oracle).
+class UniformSourceSampler : public SourceSampler {
  public:
-  /// Graph must outlive the sampler. When `shared_oracle` is non-null the
-  /// sampler runs its passes through it (and profits from its memo; see
-  /// DependencyOracle::set_cache_capacity) instead of owning one; the
-  /// oracle must be bound to the same graph and outlive the sampler.
   UniformSourceSampler(const CsrGraph& graph, std::uint64_t seed,
-                       DependencyOracle* shared_oracle = nullptr);
+                       DependencyOracle* shared_oracle = nullptr)
+      : SourceSampler(graph, seed, shared_oracle) {}
 
-  /// Draws `num_samples` sources; returns the paper-normalized estimate.
-  double Estimate(VertexId r, std::uint64_t num_samples);
-
-  /// Rewinds the random stream to that of a fresh sampler seeded `seed`.
-  void Reset(std::uint64_t seed) { rng_ = Rng(seed); }
-
-  /// Total shortest-path passes consumed so far through this sampler's
-  /// oracle (a shared oracle also counts the other users' work).
-  std::uint64_t num_passes() const { return oracle_->num_passes(); }
-
- private:
-  const CsrGraph* graph_;
-  std::unique_ptr<DependencyOracle> owned_oracle_;
-  DependencyOracle* oracle_;
-  Rng rng_;
+  double Estimate(VertexId r, std::uint64_t num_samples) override;
 };
 
 }  // namespace mhbc

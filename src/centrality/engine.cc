@@ -23,54 +23,49 @@ namespace mhbc {
 
 namespace {
 
-EstimatorEntry MakeEntry(EstimatorKind kind) {
-  EstimatorEntry entry;
-  entry.kind = kind;
-  entry.name = EstimatorKindName(kind);
-  entry.supports_weighted = true;
-  entry.chain_based = false;
-  // Per-vertex queries are independent for every sampling kind; only the
-  // whole-graph products (exact scores, the RK credit vector) are computed
-  // once and served to all vertices, so sharding them would waste work.
-  entry.sharded_many = true;
-  switch (kind) {
-    case EstimatorKind::kExact:
-      entry.summary = "exact Brandes (n passes, zero error)";
-      entry.sharded_many = false;
-      break;
-    case EstimatorKind::kMetropolisHastings:
-      entry.summary = "single-space MH chain average (paper Eq. 7)";
-      entry.chain_based = true;
-      break;
-    case EstimatorKind::kMhRaoBlackwell:
-      entry.summary = "unbiased Rao-Blackwellized MH companion";
-      entry.chain_based = true;
-      break;
-    case EstimatorKind::kUniformSource:
-      entry.summary = "uniform source sampling (Bader et al.)";
-      break;
-    case EstimatorKind::kDistanceProportional:
-      entry.summary = "distance-proportional sources (Chehreghani [13])";
-      break;
-    case EstimatorKind::kShortestPath:
-      entry.summary = "Riondato-Kornaropoulos shortest-path sampling";
-      entry.sharded_many = false;
-      break;
-    case EstimatorKind::kLinearScaling:
-      entry.summary = "Geisberger linear-scaling sources (unweighted only)";
-      entry.supports_weighted = false;
-      break;
-  }
-  return entry;
+/// The SourceSamplerFactory of a concrete sampler type. The seed is
+/// irrelevant: the engine resets a sampler to the request seed before use.
+template <typename Sampler>
+std::unique_ptr<SourceSampler> MakeSourceSampler(const CsrGraph& graph,
+                                                 DependencyOracle* oracle) {
+  return std::make_unique<Sampler>(graph, /*seed=*/0, oracle);
 }
 
 }  // namespace
 
 const std::vector<EstimatorEntry>& EstimatorRegistry() {
+  // One row per kind, in AllEstimatorKinds() order. Per-vertex queries are
+  // independent for every sampling kind; only the whole-graph products
+  // (exact scores, the RK credit vector) are computed once and served to
+  // all vertices, so sharding them would waste work.
   static const std::vector<EstimatorEntry>* kRegistry = [] {
-    auto* entries = new std::vector<EstimatorEntry>();
-    for (EstimatorKind kind : AllEstimatorKinds()) {
-      entries->push_back(MakeEntry(kind));
+    auto* entries = new std::vector<EstimatorEntry>{
+        {.kind = EstimatorKind::kExact,
+         .summary = "exact Brandes (n passes, zero error)",
+         .sharded_many = false},
+        {.kind = EstimatorKind::kMetropolisHastings,
+         .summary = "single-space MH chain average (paper Eq. 7)",
+         .chain_based = true},
+        {.kind = EstimatorKind::kMhRaoBlackwell,
+         .summary = "unbiased Rao-Blackwellized MH companion",
+         .chain_based = true},
+        {.kind = EstimatorKind::kUniformSource,
+         .summary = "uniform source sampling (Bader et al.)",
+         .make_sampler = &MakeSourceSampler<UniformSourceSampler>},
+        {.kind = EstimatorKind::kDistanceProportional,
+         .summary = "distance-proportional sources (Chehreghani [13])",
+         .make_sampler = &MakeSourceSampler<DistanceProportionalSampler>},
+        {.kind = EstimatorKind::kShortestPath,
+         .summary = "Riondato-Kornaropoulos shortest-path sampling",
+         .sharded_many = false,
+         .make_sampler = &MakeSourceSampler<RkSampler>},
+        {.kind = EstimatorKind::kLinearScaling,
+         .summary = "Geisberger linear-scaling sources (unweighted only)",
+         .supports_weighted = false,
+         .make_sampler = &MakeSourceSampler<GeisbergerSampler>},
+    };
+    for (EstimatorEntry& entry : *entries) {
+      entry.name = EstimatorKindName(entry.kind);
     }
     return entries;
   }();
@@ -107,6 +102,33 @@ struct BetweennessEngine::JointCache {
   std::uint64_t seed = 0;
   JointResult result;
 };
+
+// ------------------------------------------------------------- constants
+
+namespace {
+
+/// Double-sweep probes behind TopK's vertex-diameter estimate.
+constexpr std::uint32_t kDiameterProbes = 4;
+/// kDeadline / kStandardError: the iid batch size, and the first chain
+/// length (which then doubles).
+constexpr std::uint64_t kAdaptiveBatch = 128;
+/// kSamples splits an iid budget into up to this many near-equal batches
+/// so the report carries a standard error. For RK the batches are seeded
+/// apart (that is what lets the credit vector build in parallel), so this
+/// constant is part of RK's sampling plan.
+constexpr std::uint64_t kReportBatches = 16;
+
+std::uint64_t ReportBatches(std::uint64_t samples) {
+  return std::max<std::uint64_t>(1, std::min(kReportBatches, samples));
+}
+
+/// Size of batch b of ReportBatches(samples) near-equal batches.
+std::uint64_t ReportBatchSize(std::uint64_t samples, std::uint64_t b) {
+  const std::uint64_t batches = ReportBatches(samples);
+  return samples / batches + (b < samples % batches ? 1 : 0);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------- construction
 
@@ -151,45 +173,13 @@ DependencyOracle* BetweennessEngine::oracle() {
   return oracle_.get();
 }
 
-MhBetweennessSampler* BetweennessEngine::mh_sampler() {
-  if (!mh_) {
-    MhOptions mh_options;
-    mh_options.record_series = true;  // f/proposal series feed diagnostics
-    mh_ = std::make_unique<MhBetweennessSampler>(*graph_, mh_options,
-                                                 oracle());
-  }
-  return mh_.get();
-}
-
-UniformSourceSampler* BetweennessEngine::uniform_sampler() {
-  if (!uniform_) {
-    uniform_ = std::make_unique<UniformSourceSampler>(*graph_, /*seed=*/0,
-                                                      oracle());
-  }
-  return uniform_.get();
-}
-
-DistanceProportionalSampler* BetweennessEngine::distance_sampler() {
-  if (!distance_) {
-    distance_ = std::make_unique<DistanceProportionalSampler>(
-        *graph_, /*seed=*/0, oracle());
-  }
-  return distance_.get();
-}
-
-RkSampler* BetweennessEngine::rk_sampler() {
-  if (!rk_) {
-    rk_ = std::make_unique<RkSampler>(*graph_, /*seed=*/0, IntraPassSpd());
-  }
-  return rk_.get();
-}
-
-GeisbergerSampler* BetweennessEngine::geisberger_sampler() {
-  if (!geisberger_) {
-    geisberger_ = std::make_unique<GeisbergerSampler>(*graph_, /*seed=*/0,
-                                                      IntraPassSpd());
-  }
-  return geisberger_.get();
+SourceSampler* BetweennessEngine::sampler(const EstimatorEntry& entry) {
+  MHBC_DCHECK(entry.make_sampler != nullptr);
+  samplers_.resize(EstimatorRegistry().size());
+  std::unique_ptr<SourceSampler>& slot =
+      samplers_[static_cast<std::size_t>(entry.kind)];
+  if (!slot) slot = entry.make_sampler(*graph_, oracle());
+  return slot.get();
 }
 
 unsigned BetweennessEngine::resolved_threads() const {
@@ -235,38 +225,6 @@ void BetweennessEngine::EnsureShards() {
   }
 }
 
-template <typename VertexAt, typename RequestAt>
-std::vector<EstimateReport> BetweennessEngine::ServeSharded(
-    std::size_t count, VertexAt vertex_at, RequestAt request_at,
-    const WallTimer& call_clock) {
-  EnsureShards();
-  // Pre-warm each shard from the owning oracle's memo (a vector copy is
-  // much cheaper than the pass it replaces), then fan out. Within one
-  // fan-out the shards still pay their passes independently — that is the
-  // price of a zero-synchronization hot path — but knowledge accumulated
-  // by earlier queries and earlier fan-outs is shared.
-  if (oracle_) {
-    for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-      shard->oracle()->MergeCacheFrom(*oracle_);
-    }
-  }
-  // Requests were validated against this engine's graph up front, and
-  // shards are bound to the same graph.
-  std::vector<EstimateReport> reports = ParallelMap<EstimateReport>(
-      pool(), count,
-      [this, &vertex_at, &request_at, &call_clock](unsigned worker,
-                                                   std::size_t i) {
-        return shards_[worker]->ServeValidated(vertex_at(i), request_at(i),
-                                               call_clock);
-      });
-  // Pull the shards' freshly memoized dependency vectors into the owning
-  // oracle so sequential queries after the fan-out reuse the passes.
-  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-    if (shard->oracle_) oracle()->MergeCacheFrom(*shard->oracle_);
-  }
-  return reports;
-}
-
 const std::vector<double>& BetweennessEngine::exact_scores() {
   if (!exact_ready_) {
     exact_scores_ = BrandesBetweenness(*graph_, Normalization::kPaper,
@@ -279,10 +237,9 @@ const std::vector<double>& BetweennessEngine::exact_scores() {
 
 std::uint32_t BetweennessEngine::vertex_diameter(std::uint64_t seed) {
   if (!vertex_diameter_.has_value() || diameter_seed_ != seed) {
-    vertex_diameter_ =
-        ApproxVertexDiameter(*graph_, options_.diameter_probes, seed);
+    vertex_diameter_ = ApproxVertexDiameter(*graph_, kDiameterProbes, seed);
     diameter_seed_ = seed;
-    extra_passes_ += 2ull * options_.diameter_probes;  // double-sweep probes
+    extra_passes_ += 2ull * kDiameterProbes;  // double-sweep probes
   }
   return *vertex_diameter_;
 }
@@ -296,39 +253,25 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
     return *rk_credit_;
   }
   *served_from_cache = false;
-  const std::uint64_t batches = std::max<std::uint64_t>(
-      1, std::min(options_.report_batches, samples));
-  const std::uint64_t base = samples / batches;
-  const std::uint64_t extra = samples % batches;
-  // Each batch runs a sampler stream seeded purely from (seed, batch
-  // index) — the batch structure and seeds never depend on the thread
-  // count, and the weighted merge below folds in batch order, so the
-  // credit vector is bit-identical at any parallelism level. Samplers are
-  // per worker and Reset to each batch seed (the documented reuse
-  // contract: Reset reproduces a freshly-constructed sampler's stream),
-  // so the per-sampler pass scratch is paid once per worker, not once per
-  // batch.
-  std::vector<std::unique_ptr<RkSampler>> worker_samplers(
-      pool()->num_threads());
+  const std::uint64_t batches = ReportBatches(samples);
+  // Each batch draws from a stream seeded purely from (seed, batch index),
+  // and the weighted merge below folds in batch order, so the credit
+  // vector is bit-identical at any parallelism level. With a parallel
+  // pool the batches are the parallel axis and each worker passes on its
+  // shard's oracle (sequential passes; intra-pass threads would
+  // oversubscribe); a 1-wide pool runs the batches inline on this
+  // engine's oracle. Every pass is counted on the oracle that ran it.
+  const bool parallel = pool()->num_threads() > 1;
+  if (parallel) EnsureShards();
   const std::vector<std::vector<double>> batch_credit =
       ParallelMap<std::vector<double>>(
           pool(), static_cast<std::size_t>(batches),
-          [this, seed, base, extra, &worker_samplers](unsigned worker,
-                                                      std::size_t b) {
+          [this, seed, samples, parallel](unsigned worker, std::size_t b) {
+            BetweennessEngine* owner =
+                parallel ? shards_[worker].get() : this;
             std::uint64_t state = seed + 0x9e3779b97f4a7c15ULL * (b + 1);
-            std::unique_ptr<RkSampler>& sampler = worker_samplers[worker];
-            if (sampler == nullptr) {
-              // With a parallel pool the batches are the parallel axis, so
-              // per-worker samplers run sequential passes (intra-pass
-              // threads would oversubscribe); a 1-wide pool runs batches
-              // inline and the passes keep the intra-pass budget.
-              SpdOptions batch_spd = IntraPassSpd();
-              if (pool()->num_threads() > 1) batch_spd.num_threads = 1;
-              sampler = std::make_unique<RkSampler>(*graph_, /*seed=*/0,
-                                                    batch_spd);
-            }
-            sampler->Reset(SplitMix64(&state));
-            return sampler->EstimateAll(base + (b < extra ? 1 : 0));
+            RkSampler sampler(*graph_, SplitMix64(&state), owner->oracle());
+            return sampler.EstimateAll(ReportBatchSize(samples, b));
           });
   auto credit = std::make_unique<RkCredit>();
   credit->samples = samples;
@@ -336,7 +279,7 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
   credit->values.assign(graph_->num_vertices(), 0.0);
   for (std::uint64_t b = 0; b < batches; ++b) {
     const std::vector<double>& estimates = batch_credit[b];
-    const double weight = static_cast<double>(base + (b < extra ? 1 : 0));
+    const double weight = static_cast<double>(ReportBatchSize(samples, b));
     for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
       credit->values[v] += estimates[v] * weight;
     }
@@ -347,7 +290,6 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
   for (double& value : credit->values) {
     value /= static_cast<double>(samples);
   }
-  extra_passes_ += samples;  // one pass per sampled path, on batch samplers
   rk_credit_ = std::move(credit);
   return *rk_credit_;
 }
@@ -355,8 +297,6 @@ const BetweennessEngine::RkCredit& BetweennessEngine::EnsureRkCredit(
 std::uint64_t BetweennessEngine::total_sp_passes() const {
   std::uint64_t passes = extra_passes_;
   if (oracle_) passes += oracle_->num_passes();
-  if (rk_) passes += rk_->num_passes();
-  if (geisberger_) passes += geisberger_->num_passes();
   for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
     passes += shard->total_sp_passes();
   }
@@ -364,7 +304,8 @@ std::uint64_t BetweennessEngine::total_sp_passes() const {
 }
 
 std::uint64_t BetweennessEngine::dependency_cache_hits() const {
-  std::uint64_t hits = oracle_ ? oracle_->cache_hits() : 0;
+  std::uint64_t hits = retired_cache_hits_;
+  if (oracle_) hits += oracle_->cache_hits();
   for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
     hits += shard->dependency_cache_hits();
   }
@@ -393,26 +334,23 @@ Status BetweennessEngine::ValidateRequest(
                                    "only");
   }
   if (request.kind == EstimatorKind::kExact) return Status::Ok();
-  switch (request.budget) {
-    case BudgetKind::kSamples:
-      if (request.samples == 0) {
-        return Status::InvalidArgument("sampling budget must be positive");
-      }
-      break;
-    case BudgetKind::kDeadline:
-      if (!(request.deadline_seconds > 0.0)) {
-        return Status::InvalidArgument(
-            "deadline_seconds must be positive for a deadline budget");
-      }
-      break;
-    case BudgetKind::kStandardError:
-      if (!(request.target_std_error > 0.0)) {
-        return Status::InvalidArgument(
-            "target_std_error must be positive for a standard-error budget");
-      }
-      break;
+  if (request.budget == BudgetKind::kSamples) {
+    if (request.samples == 0) {
+      return Status::InvalidArgument("sampling budget must be positive");
+    }
+    return Status::Ok();
   }
-  if (request.budget != BudgetKind::kSamples && request.max_samples == 0) {
+  if (request.budget == BudgetKind::kDeadline &&
+      !(request.deadline_seconds > 0.0)) {
+    return Status::InvalidArgument(
+        "deadline_seconds must be positive for a deadline budget");
+  }
+  if (request.budget == BudgetKind::kStandardError &&
+      !(request.target_std_error > 0.0)) {
+    return Status::InvalidArgument(
+        "target_std_error must be positive for a standard-error budget");
+  }
+  if (request.max_samples == 0) {
     return Status::InvalidArgument("max_samples must be positive");
   }
   return Status::Ok();
@@ -447,9 +385,17 @@ Status BetweennessEngine::ValidateTargets(const std::vector<VertexId>& targets,
 
 namespace {
 
+/// Standard error of a weighted batch mean from its batch means (0 below
+/// two batches).
+double BatchMeansStdError(const RunningStats& batch_means) {
+  if (batch_means.count() < 2) return 0.0;
+  return batch_means.stddev() /
+         std::sqrt(static_cast<double>(batch_means.count()));
+}
+
 /// Fills value / acceptance / ESS / std-error of a report from one chain
-/// run. kMetropolisHastings reads the Eq. 7 chain average (standard error
-/// via the Geyer ESS, as in core/adaptive.h); kMhRaoBlackwell reads the
+/// run. kMetropolisHastings reads the Eq. 7 chain average, with the
+/// standard error from the f-series' Geyer ESS; kMhRaoBlackwell reads the
 /// unbiased proposal average (its terms are iid, so plain sqrt(T) SE).
 void FillChainReport(const MhResult& result, EstimatorKind kind,
                      EstimateReport* report) {
@@ -473,199 +419,80 @@ void FillChainReport(const MhResult& result, EstimatorKind kind,
 
 }  // namespace
 
-double BetweennessEngine::RunBatch(EstimatorKind kind, VertexId r,
-                                   std::uint64_t count, MhResult* chain_out) {
-  switch (kind) {
-    case EstimatorKind::kExact:
-      return exact_scores()[r];
-    case EstimatorKind::kMetropolisHastings:
-    case EstimatorKind::kMhRaoBlackwell: {
-      MhResult result = mh_sampler()->Run(r, count);
-      const double value = kind == EstimatorKind::kMetropolisHastings
-                               ? result.estimate
-                               : result.proposal_estimate;
-      if (chain_out != nullptr) *chain_out = std::move(result);
-      return value;
-    }
-    case EstimatorKind::kUniformSource:
-      return uniform_sampler()->Estimate(r, count);
-    case EstimatorKind::kDistanceProportional:
-      return distance_sampler()->Estimate(r, count);
-    case EstimatorKind::kShortestPath:
-      return rk_sampler()->Estimate(r, count);
-    case EstimatorKind::kLinearScaling:
-      return geisberger_sampler()->Estimate(r, count);
-  }
-  MHBC_DCHECK(false);
-  return 0.0;
-}
+void BetweennessEngine::RunBudget(VertexId r, const EstimateRequest& request,
+                                  const WallTimer& call_clock,
+                                  EstimateReport* report) {
+  const EstimatorEntry& entry = *FindEstimator(request.kind);
+  const bool fixed = request.budget == BudgetKind::kSamples;
+  const bool se_mode = request.budget == BudgetKind::kStandardError;
+  const std::uint64_t cap = fixed ? request.samples : request.max_samples;
 
-void BetweennessEngine::ServeSamplesBudget(VertexId r,
-                                           const EstimateRequest& request,
-                                           EstimateReport* report) {
-  const EstimatorKind kind = request.kind;
-  if (kind == EstimatorKind::kExact) {
-    report->cache_hit = exact_ready_;
-    report->value = exact_scores()[r];
-    return;
-  }
-  if (kind == EstimatorKind::kMetropolisHastings ||
-      kind == EstimatorKind::kMhRaoBlackwell) {
-    MhBetweennessSampler* sampler = mh_sampler();
-    sampler->Reset(request.seed);
-    const MhResult result = sampler->Run(r, request.samples);
-    FillChainReport(result, kind, report);
-    report->samples_used = request.samples;
-    return;
-  }
-  if (kind == EstimatorKind::kShortestPath) {
-    std::vector<double> batch_estimates;
+  // RK at kSamples reads its batches off the whole-graph credit vector;
+  // a cached vector serves any vertex at zero passes and no new samples.
+  std::vector<double> credit_batches;
+  SourceSampler* iid = nullptr;
+  if (fixed && request.kind == EstimatorKind::kShortestPath) {
     bool served_from_cache = false;
-    const RkCredit& credit = EnsureRkCredit(
-        request.samples, request.seed, r, &batch_estimates, &served_from_cache);
-    report->value = credit.values[r];
-    report->ess = static_cast<double>(request.samples);
+    const RkCredit& credit = EnsureRkCredit(request.samples, request.seed, r,
+                                            &credit_batches,
+                                            &served_from_cache);
     if (served_from_cache) {
-      // Whole-graph credit vector from an earlier query (or TopK) —
-      // serving any vertex costs zero passes and spends no new samples.
+      report->value = credit.values[r];
+      report->ess = static_cast<double>(request.samples);
       report->cache_hit = true;
       return;
     }
-    report->samples_used = request.samples;
-    if (batch_estimates.size() >= 2) {
-      RunningStats batch_means;
-      for (double estimate : batch_estimates) batch_means.Add(estimate);
-      report->std_error = batch_means.stddev() /
-                          std::sqrt(static_cast<double>(batch_means.count()));
+  } else if (entry.chain_based) {
+    if (!chain_) {
+      MhOptions mh_options;
+      mh_options.record_series = true;  // f/proposal series feed the SE
+      chain_ = std::make_unique<MhBetweennessSampler>(*graph_, mh_options,
+                                                      oracle());
     }
-    return;
+  } else {
+    iid = sampler(entry);
+    iid->Reset(request.seed);
   }
 
-  // iid source samplers: split the budget into near-equal batches so the
-  // report carries a standard error; the weighted batch mean regroups the
-  // exact same sample stream, so the estimate matches a single full call.
-  switch (kind) {
-    case EstimatorKind::kUniformSource:
-      uniform_sampler()->Reset(request.seed);
-      break;
-    case EstimatorKind::kDistanceProportional:
-      distance_sampler()->Reset(request.seed);
-      break;
-    case EstimatorKind::kLinearScaling:
-      geisberger_sampler()->Reset(request.seed);
-      break;
-    default:
-      MHBC_DCHECK(false);
-  }
-  const std::uint64_t batches = std::max<std::uint64_t>(
-      1, std::min(options_.report_batches, request.samples));
-  const std::uint64_t base = request.samples / batches;
-  const std::uint64_t extra = request.samples % batches;
+  // Chain kinds re-run one chain from the request seed per step, so every
+  // report is reproducible as a kSamples request with samples_used; iid
+  // kinds add a batch per step to one stream, and the weighted batch mean
+  // equals a single call of the total size.
   double weighted_sum = 0.0;
   RunningStats batch_means;
-  for (std::uint64_t b = 0; b < batches; ++b) {
-    const std::uint64_t size = base + (b < extra ? 1 : 0);
-    const double estimate = RunBatch(kind, r, size, nullptr);
-    weighted_sum += estimate * static_cast<double>(size);
-    batch_means.Add(estimate);
-  }
-  report->value = weighted_sum / static_cast<double>(request.samples);
-  report->samples_used = request.samples;
-  report->ess = static_cast<double>(request.samples);
-  if (batch_means.count() >= 2) {
-    report->std_error = batch_means.stddev() /
-                        std::sqrt(static_cast<double>(batch_means.count()));
-  }
-}
-
-void BetweennessEngine::ServeAdaptiveBudget(VertexId r,
-                                            const EstimateRequest& request,
-                                            const WallTimer& call_clock,
-                                            EstimateReport* report) {
-  const bool se_mode = request.budget == BudgetKind::kStandardError;
-  const EstimatorKind kind = request.kind;
-
-  if (kind == EstimatorKind::kMetropolisHastings ||
-      kind == EstimatorKind::kMhRaoBlackwell) {
-    // Doubling re-runs, as in core/adaptive.h. Reseeding before every
-    // run makes each chain a pure function of (seed, budget): the
-    // converged report is reproducible as a kSamples request with
-    // samples=samples_used and the same seed. Total iterations stay
-    // within 2x the final chain length (and replayed prefixes hit the
-    // dependency memo, so the pass cost of re-running is small).
-    MhBetweennessSampler* sampler = mh_sampler();
-    std::uint64_t budget =
-        std::min(std::max<std::uint64_t>(options_.initial_batch, 2),
-                 request.max_samples);
-    while (true) {
-      sampler->Reset(request.seed);
-      const MhResult result = sampler->Run(r, budget);
-      FillChainReport(result, kind, report);
-      report->samples_used = budget;
-      if (se_mode && report->std_error <= request.target_std_error) {
-        report->converged = true;
-        return;
-      }
-      if (!se_mode &&
-          call_clock.ElapsedSeconds() >= request.deadline_seconds) {
-        return;  // deadline reached; converged stays true
-      }
-      if (budget >= request.max_samples) {
-        report->converged = !se_mode;
-        return;
-      }
-      budget = std::min(budget * 2, request.max_samples);
-    }
-  }
-
-  // iid kinds: accumulate fixed-size batches (the weighted mean equals a
-  // single call of the total size; batch means feed the stop rule).
-  switch (kind) {
-    case EstimatorKind::kUniformSource:
-      uniform_sampler()->Reset(request.seed);
-      break;
-    case EstimatorKind::kDistanceProportional:
-      distance_sampler()->Reset(request.seed);
-      break;
-    case EstimatorKind::kShortestPath:
-      rk_sampler()->Reset(request.seed);
-      break;
-    case EstimatorKind::kLinearScaling:
-      geisberger_sampler()->Reset(request.seed);
-      break;
-    default:
-      MHBC_DCHECK(false);
-  }
-  double weighted_sum = 0.0;
   std::uint64_t total = 0;
-  RunningStats batch_means;
-  while (true) {
-    const std::uint64_t batch = std::min(
-        std::max<std::uint64_t>(options_.initial_batch, 1),
-        request.max_samples - total);
-    if (batch == 0) {
-      report->converged = !se_mode;
+  for (std::uint64_t step = 0;; ++step) {
+    if (entry.chain_based) {
+      total = step > 0 ? std::min(2 * total, cap)
+                       : (fixed ? cap : std::min(kAdaptiveBatch, cap));
+      chain_->Reset(request.seed);
+      FillChainReport(chain_->Run(r, total), request.kind, report);
+    } else {
+      const std::uint64_t size = fixed ? ReportBatchSize(cap, step)
+                                       : std::min(kAdaptiveBatch, cap - total);
+      const double estimate =
+          iid != nullptr ? iid->Estimate(r, size) : credit_batches[step];
+      weighted_sum += estimate * static_cast<double>(size);
+      total += size;
+      batch_means.Add(estimate);
+      report->value = weighted_sum / static_cast<double>(total);
+      report->ess = static_cast<double>(total);
+      report->std_error = BatchMeansStdError(batch_means);
+    }
+    report->samples_used = total;
+    // Batch means need three batches before their SE can stop a run.
+    if (se_mode && (entry.chain_based || batch_means.count() >= 3) &&
+        report->std_error <= request.target_std_error) {
+      report->converged = true;
       return;
     }
-    const double estimate = RunBatch(kind, r, batch, nullptr);
-    weighted_sum += estimate * static_cast<double>(batch);
-    total += batch;
-    batch_means.Add(estimate);
-    report->value = weighted_sum / static_cast<double>(total);
-    report->samples_used = total;
-    report->ess = static_cast<double>(total);
-    if (batch_means.count() >= 2) {
-      report->std_error = batch_means.stddev() /
-                          std::sqrt(static_cast<double>(batch_means.count()));
-    }
-    if (se_mode) {
-      if (batch_means.count() >= 3 &&
-          report->std_error <= request.target_std_error) {
-        report->converged = true;
-        return;
-      }
-    } else if (call_clock.ElapsedSeconds() >= request.deadline_seconds) {
+    if (request.budget == BudgetKind::kDeadline &&
+        call_clock.ElapsedSeconds() >= request.deadline_seconds) {
       return;  // deadline reached; converged stays true
+    }
+    if (total >= cap) {
+      report->converged = !se_mode;
+      return;
     }
   }
 }
@@ -687,18 +514,18 @@ EstimateReport BetweennessEngine::ServeValidated(
   const std::uint64_t hits_before = dependency_cache_hits();
   WallTimer timer;
 
-  if (request.kind == EstimatorKind::kExact ||
-      request.budget == BudgetKind::kSamples) {
-    ServeSamplesBudget(r, request, &report);
+  if (request.kind == EstimatorKind::kExact) {
+    report.cache_hit = exact_ready_;
+    report.value = exact_scores()[r];
   } else {
-    ServeAdaptiveBudget(r, request, call_clock, &report);
+    RunBudget(r, request, call_clock, &report);
   }
 
   report.seconds = timer.ElapsedSeconds();
   report.sp_passes = total_sp_passes() - passes_before;
   report.cache_hit =
       report.cache_hit || dependency_cache_hits() > hits_before;
-  report.ci_half_width = request.z * report.std_error;
+  report.ci_half_width = kConfidenceZ * report.std_error;
   return report;
 }
 
@@ -715,46 +542,48 @@ StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateBatch(
   // the queries can occupy the pool; smaller batches serve sequentially on
   // the owning engine, whose passes then use the pool internally. Both
   // shapes return identical statistical fields.
-  if (all_sharded && requests.size() > 1 && resolved_threads() > 1 &&
-      requests.size() >= resolved_threads()) {
-    return ServeSharded(
-        requests.size(), [&requests](std::size_t i) { return requests[i].vertex; },
-        [&requests](std::size_t i) -> const EstimateRequest& {
-          return requests[i];
-        },
-        call_clock);
+  if (!all_sharded || requests.size() < 2 || resolved_threads() < 2 ||
+      requests.size() < resolved_threads()) {
+    std::vector<EstimateReport> reports;
+    reports.reserve(requests.size());
+    for (const EstimateRequest& request : requests) {
+      reports.push_back(ServeValidated(request.vertex, request, call_clock));
+    }
+    return reports;
   }
-  std::vector<EstimateReport> reports;
-  reports.reserve(requests.size());
-  for (const EstimateRequest& request : requests) {
-    reports.push_back(ServeValidated(request.vertex, request, call_clock));
+  EnsureShards();
+  // Pre-warm each shard from the owning oracle's memo (a vector copy is
+  // much cheaper than the pass it replaces), then fan out. Within one
+  // fan-out the shards still pay their passes independently — that is the
+  // price of a zero-synchronization hot path — but knowledge accumulated
+  // by earlier queries and earlier fan-outs is shared. Shards are bound to
+  // this engine's graph, which the requests were validated against.
+  if (oracle_) {
+    for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
+      shard->oracle()->MergeCacheFrom(*oracle_);
+    }
+  }
+  std::vector<EstimateReport> reports = ParallelMap<EstimateReport>(
+      pool(), requests.size(),
+      [this, &requests, &call_clock](unsigned worker, std::size_t i) {
+        return shards_[worker]->ServeValidated(requests[i].vertex,
+                                               requests[i], call_clock);
+      });
+  // Pull the shards' freshly memoized dependency vectors into the owning
+  // oracle so sequential queries after the fan-out reuse the passes.
+  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
+    if (shard->oracle_) oracle()->MergeCacheFrom(*shard->oracle_);
   }
   return reports;
 }
 
 StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateMany(
     const std::vector<VertexId>& vertices, const EstimateRequest& request) {
-  const WallTimer call_clock;
-  for (VertexId vertex : vertices) {
-    const Status status = ValidateRequest(vertex, request);
-    if (!status.ok()) return status;  // fail fast, before any work
+  std::vector<EstimateRequest> requests(vertices.size(), request);
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    requests[i].vertex = vertices[i];
   }
-  // Same pool-splitting policy as EstimateBatch: shard only when the
-  // vertex count can occupy the pool.
-  if (!vertices.empty() && FindEstimator(request.kind)->sharded_many &&
-      vertices.size() > 1 && resolved_threads() > 1 &&
-      vertices.size() >= resolved_threads()) {
-    return ServeSharded(
-        vertices.size(), [&vertices](std::size_t i) { return vertices[i]; },
-        [&request](std::size_t) -> const EstimateRequest& { return request; },
-        call_clock);
-  }
-  std::vector<EstimateReport> reports;
-  reports.reserve(vertices.size());
-  for (VertexId vertex : vertices) {
-    reports.push_back(ServeValidated(vertex, request, call_clock));
-  }
-  return reports;
+  return EstimateBatch(requests);
 }
 
 StatusOr<JointResult> BetweennessEngine::EstimateRelative(
@@ -841,11 +670,13 @@ Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   // or, for a vertex append, the n-dependent normalization — touches, so
   // they always reset; the dependency memo is the selectively-surviving
   // part, handled by the oracle below.
-  mh_.reset();
-  uniform_.reset();
-  distance_.reset();
-  rk_.reset();
-  geisberger_.reset();
+  samplers_.clear();
+  chain_.reset();
+  // Retired shards keep their work in the counters, which never go back.
+  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
+    extra_passes_ += shard->total_sp_passes();
+    retired_cache_hits_ += shard->dependency_cache_hits();
+  }
   shards_.clear();
   exact_scores_.clear();
   exact_ready_ = false;

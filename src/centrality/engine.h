@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/source_sampler.h"
 #include "centrality/estimate.h"
 #include "core/joint_space.h"
 #include "core/mh_betweenness.h"
@@ -21,14 +22,11 @@
 /// Every estimator in this library is a "pay setup once, then iterate"
 /// algorithm, and one shortest-path pass from a source v yields the
 /// dependency of v on *every* target at once. An engine exploits both: it
-/// is constructed once per graph, owns lazily-built per-estimator state
-/// (a memoizing dependency oracle shared by the source samplers, distance
-/// proposal tables, the RK diameter probe and all-vertices credit vector,
-/// cached exact scores, the last joint-space result), and serves
-/// EstimateRequest -> EstimateReport queries whose work amortizes across
-/// calls. Querying a second vertex on a live engine costs strictly fewer
-/// shortest-path passes than a second one-shot call, because dependency
-/// vectors computed for the first query are served from the memo.
+/// is constructed once per graph and serves EstimateRequest ->
+/// EstimateReport queries whose work amortizes across calls. Querying a
+/// second vertex on a live engine costs strictly fewer shortest-path
+/// passes than a second one-shot call, because dependency vectors computed
+/// for the first query are served from the memo.
 ///
 /// Quickstart:
 /// \code
@@ -40,6 +38,34 @@
 ///   auto b = engine.Estimate(11, req);   // reuses a's dependency vectors
 ///   // b.value().std_error, .acceptance_rate, .ess, .cache_hit ...
 /// \endcode
+///
+/// One pass engine. Every pass a query runs — the MH chain's, the iid
+/// samplers', RK's path draws and Geisberger's scaled sweeps — runs on
+/// the engine's one memoizing DependencyOracle (one BFS or delta-stepping
+/// engine plus one dependency accumulator), and is counted there. Only the
+/// exact-score build (source-parallel Brandes), the diameter probes and
+/// the distance sampler's distance table (recorded on the oracle) run
+/// passes of their own; the sharded paths below run on the shards'
+/// oracles.
+///
+/// Per-estimator state, all built lazily on first use: one sampler per
+/// iid kind, made by its registry entry's factory on the oracle
+/// (baselines/source_sampler.h); one MhBetweennessSampler shared by the
+/// two chain kinds; and the whole-graph products — exact scores, the RK
+/// credit vector, the diameter probe behind TopK, the last joint-space
+/// result.
+///
+/// Budgets. Every sampling kind runs one budget loop. iid kinds draw
+/// batches from one stream: `samples` split into up to 16 near-equal
+/// batches at kSamples, 128-sample batches at kDeadline and
+/// kStandardError; the value is the weighted batch mean and the standard
+/// error comes from the batch means. Chain kinds re-run one chain from
+/// the request seed: one run of `samples` iterations at kSamples, runs of
+/// 128, 256, ... iterations otherwise; the standard error comes from the
+/// chain (Geyer ESS for `mh`, iid proposal terms for `mh-rb`). RK at
+/// kSamples reads its batches off the credit vector's build, whose batches
+/// are seeded apart and run in parallel. Every report's ci_half_width is
+/// kConfidenceZ (1.96) times its std_error.
 ///
 /// Reports are deterministic: a fixed (request, engine-construction) pair
 /// reproduces the same value bit-for-bit no matter how many queries ran in
@@ -55,8 +81,9 @@
 /// Parallelism and the thread contract. Set EngineOptions::num_threads to
 /// parallelize *inside* the engine: the exact-score build runs the
 /// source-parallel Brandes, the RK credit vector accumulates its sample
-/// batches concurrently, and EstimateMany / EstimateBatch fan independent
-/// per-vertex queries out across internal per-worker engine shards (each
+/// batches concurrently (each worker on its shard's oracle), and
+/// EstimateMany / EstimateBatch fan independent per-vertex queries out
+/// across internal per-worker engine shards (each
 /// shard is a fully sequential engine with its own samplers and a private
 /// dependency oracle; shard memos merge back into the owning engine's
 /// oracle when the fan-out completes, so later queries reuse the shards'
@@ -72,7 +99,7 @@
 /// sequential by design: a Markov chain is one serial dependency, and
 /// splitting it would change the estimator — but their *passes* do
 /// parallelize: with EngineOptions::spd.num_threads inherited (0), the
-/// engine's own pass engines run frontier-parallel level steps inside each
+/// engine's own pass engine runs frontier-parallel level steps inside each
 /// BFS + dependency sweep (sp/bfs_spd.h), which is what makes single-query
 /// Estimate / EstimateRelative latency scale with cores.
 ///
@@ -101,21 +128,20 @@
 /// mutation: after ApplyDelta, every statistical report field is
 /// bit-identical to what a cold engine constructed on the post-edit graph
 /// (same options) would return for the same request — at every thread
-/// count and SPD kernel setting. Whole-graph products (exact scores, the
-/// RK credit vector, the diameter probe, the joint-space result) are
-/// rebuilt on next use; the dependency memo survives *selectively* —
+/// count and SPD kernel setting. Samplers, shards and whole-graph products
+/// (exact scores, the RK credit vector, the diameter probe, the joint-space
+/// result) are rebuilt on next use; the dependency memo survives
+/// *selectively* —
 /// only cached passes whose BFS trees an edit touches are dropped
 /// (DependencyOracle::ApplyGraphDelta), which is what makes a small edit
-/// batch cheaper to re-estimate than a cold rebuild. After the first
+/// batch cheaper to re-estimate than a cold rebuild. The work counters
+/// (total_sp_passes, dependency_cache_hits) never go backwards across an
+/// edit. After the first
 /// ApplyDelta, graph() returns the engine-owned post-edit graph; the
 /// construction graph is no longer referenced.
 
 namespace mhbc {
 
-class UniformSourceSampler;
-class DistanceProportionalSampler;
-class RkSampler;
-class GeisbergerSampler;
 class ThreadPool;
 class WallTimer;
 
@@ -129,9 +155,12 @@ enum class BudgetKind {
   kDeadline,
   /// Keep sampling in batches until the estimate's standard error drops
   /// to `target_std_error` (or `max_samples` is hit); KADABRA-style
-  /// adaptivity driven by batch means / chain ESS (see core/adaptive.h).
+  /// adaptivity driven by batch means / chain ESS.
   kStandardError,
 };
+
+/// Normal quantile behind every report's ci_half_width (1.96 ~ 95%).
+inline constexpr double kConfidenceZ = 1.96;
 
 /// One estimation query. Generalizes EstimateOptions: the budget is a
 /// sample count, a wall-clock deadline, or a target standard error.
@@ -148,8 +177,6 @@ struct EstimateRequest {
   double deadline_seconds = 0.0;
   /// kStandardError only: stop once std_error <= this (> 0).
   double target_std_error = 0.0;
-  /// Normal quantile for the reported confidence half-width (1.96 ~ 95%).
-  double z = 1.96;
   /// Safety valve for kDeadline / kStandardError runs.
   std::uint64_t max_samples = 1 << 20;
   std::uint64_t seed = 0x5eed;
@@ -173,7 +200,8 @@ struct EstimateReport : BetweennessEstimate {
   /// Standard error of `value` (0 when not measurable: kExact,
   /// result-cache serves, or single-batch runs).
   double std_error = 0.0;
-  /// z * std_error — the normal-approximation confidence half-width.
+  /// kConfidenceZ * std_error — the normal-approximation confidence
+  /// half-width.
   double ci_half_width = 0.0;
   /// True when engine caches did part of the work: dependency-memo hits,
   /// or a whole-result serve (exact scores, RK credit vector).
@@ -193,20 +221,6 @@ struct EngineOptions {
   /// (capped at n entries — beyond that every source is already
   /// memoized). 0 disables cross-query pass reuse.
   std::size_t dependency_cache_bytes = std::size_t{256} << 20;  // 256 MiB
-  /// Double-sweep probes for the cached vertex-diameter estimate backing
-  /// TopK's VC sample bound.
-  std::uint32_t diameter_probes = 4;
-  /// First batch size for kDeadline / kStandardError budgets (the total
-  /// doubles until the stop rule fires).
-  std::uint64_t initial_batch = 128;
-  /// kSamples budgets are split into up to this many equal batches so the
-  /// report carries a standard error. For the iid source samplers batching
-  /// only regroups one sample stream, so the estimate is invariant to this
-  /// knob; for kShortestPath the batches are independently seeded (that is
-  /// what lets the credit vector build in parallel), so this knob is part
-  /// of the RK sampling plan — changing it redraws the paths. For fixed
-  /// options every estimate is deterministic at any thread count.
-  std::uint64_t report_batches = 16;
   /// Worker threads for the engine's parallel paths (exact Brandes build,
   /// RK credit batches, sharded EstimateMany / EstimateBatch). 0 = one per
   /// hardware thread, 1 = fully sequential (the pre-parallel behavior).
@@ -215,10 +229,9 @@ struct EngineOptions {
   unsigned num_threads = 1;
   /// Shortest-path kernel tuning — BFS kernel selection + direction
   /// switching unweighted, canonical-wave delta-stepping bucket width
-  /// weighted — applied to every pass the engine (and its shards,
-  /// samplers, and exact builds) runs. spd.num_threads == 0 (the default)
-  /// inherits
-  /// num_threads for the engine's serial-path pass engines, giving
+  /// weighted — applied to every pass the engine (and its shards and
+  /// exact builds) runs. spd.num_threads == 0 (the default) inherits
+  /// num_threads for the engine's serial-path pass engine, giving
   /// single-query calls frontier-parallel passes; fan-out paths force
   /// per-worker passes sequential (pool-splitting — see the file comment).
   /// Off the determinism key: all settings produce bit-identical reports.
@@ -229,21 +242,24 @@ struct EngineOptions {
 /// dispatch table the engine, CLI tools, benches, and tests share, keyed
 /// by both EstimatorKind and its stable string name.
 struct EstimatorEntry {
-  EstimatorKind kind;
+  EstimatorKind kind = EstimatorKind::kExact;
   /// EstimatorKindName(kind): "exact", "mh", "mh-rb", ...
-  const char* name;
+  const char* name = nullptr;
   /// One-line description for CLI help / bench tables.
-  const char* summary;
+  const char* summary = nullptr;
   /// False for estimators restricted to unweighted graphs.
-  bool supports_weighted;
+  bool supports_weighted = true;
   /// True for the MH chain family (acceptance rate / ESS diagnostics).
-  bool chain_based;
+  bool chain_based = false;
   /// True when EstimateMany / EstimateBatch may fan this kind out across
   /// per-worker engine shards (each per-vertex query is independent).
   /// False for whole-graph products (exact scores, the RK credit vector)
   /// that are computed once and serve every vertex at zero marginal
   /// passes — sharding those would rebuild the product per worker.
-  bool sharded_many;
+  bool sharded_many = true;
+  /// Builds the kind's iid sampler on an engine's oracle; null for `exact`
+  /// and the chain kinds.
+  SourceSamplerFactory make_sampler = nullptr;
 };
 
 /// All registered estimators, in AllEstimatorKinds() order.
@@ -282,9 +298,9 @@ class BetweennessEngine {
   ///
   /// kDeadline budgets, here and in EstimateMany, run against one clock
   /// started when the call begins, on the sequential and the sharded path
-  /// alike, so a k-vertex call overruns its deadline by about one doubling
-  /// batch, not k-fold. A vertex whose turn comes after the deadline still
-  /// gets one batch of `initial_batch` samples, so every report carries
+  /// alike, so a k-vertex call overruns its deadline by about one batch,
+  /// not k-fold. A vertex whose turn comes after the deadline still gets
+  /// one batch (128 samples or chain iterations), so every report carries
   /// statistics.
   StatusOr<std::vector<EstimateReport>> EstimateBatch(
       const std::vector<EstimateRequest>& requests);
@@ -358,40 +374,29 @@ class BetweennessEngine {
   /// options_.num_threads resolved (0 -> hardware concurrency).
   unsigned resolved_threads() const;
   /// options_.spd with num_threads == 0 (inherit) resolved to the engine's
-  /// thread budget — the SpdOptions the engine's own serial-path pass
-  /// engines (oracle, RK/Geisberger samplers) are built with, so
+  /// thread budget — the SpdOptions of the engine's own oracle, so
   /// single-query latency scales with the pool via frontier-parallel
-  /// passes. Fan-out paths instead force per-worker spd.num_threads to 1
-  /// (see the pool-splitting policy in the file comment). An explicit
+  /// passes. Fan-out paths instead run on shards whose spd.num_threads is
+  /// 1 (see the pool-splitting policy in the file comment). An explicit
   /// options_.spd.num_threads is passed through untouched.
   SpdOptions IntraPassSpd() const;
   /// Lazily-built worker pool (resolved_threads() wide).
   ThreadPool* pool();
   /// Lazily builds one sequential engine shard per pool worker.
   void EnsureShards();
-  /// Parallel fan-out used by EstimateMany / EstimateBatch once requests
-  /// are validated: query i = (vertex_at(i), request_at(i)) runs on
-  /// whichever shard its claiming worker owns; shard oracle memos merge
-  /// back on completion. Reports come back in query order (defined in
-  /// engine.cc, the only translation unit that instantiates it).
-  template <typename VertexAt, typename RequestAt>
-  std::vector<EstimateReport> ServeSharded(std::size_t count,
-                                           VertexAt vertex_at,
-                                           RequestAt request_at,
-                                           const WallTimer& call_clock);
-
   /// One validated query. `call_clock` was started when the public call
   /// began; kDeadline budgets run against it.
   EstimateReport ServeValidated(VertexId r, const EstimateRequest& request,
                                 const WallTimer& call_clock);
 
+  /// The budget loop every sampling kind runs (see the file comment).
+  void RunBudget(VertexId r, const EstimateRequest& request,
+                 const WallTimer& call_clock, EstimateReport* report);
+
   // Lazily-built shared state.
   DependencyOracle* oracle();
-  MhBetweennessSampler* mh_sampler();
-  UniformSourceSampler* uniform_sampler();
-  DistanceProportionalSampler* distance_sampler();
-  RkSampler* rk_sampler();
-  GeisbergerSampler* geisberger_sampler();
+  /// The iid sampler of `entry`'s kind (entry.make_sampler is non-null).
+  SourceSampler* sampler(const EstimatorEntry& entry);
   const std::vector<double>& exact_scores();
   std::uint32_t vertex_diameter(std::uint64_t seed);
 
@@ -400,24 +405,11 @@ class BetweennessEngine {
   /// the batched accumulation otherwise — one construction path, so a
   /// cache serve is always bit-identical to a rebuild. When building and
   /// `batch_estimates` is non-null, it receives the per-batch estimates
-  /// of `se_vertex` (for the standard-error readout).
+  /// of `se_vertex` (the budget loop's batches).
   const RkCredit& EnsureRkCredit(std::uint64_t samples, std::uint64_t seed,
                                  VertexId se_vertex,
                                  std::vector<double>* batch_estimates,
                                  bool* served_from_cache);
-
-  /// Runs `count` more samples of `kind` for vertex r, continuing the
-  /// current sampler stream, and returns the batch estimate. Chain kinds
-  /// run one fresh chain of `count` iterations (`chain_out` receives its
-  /// full result).
-  double RunBatch(EstimatorKind kind, VertexId r, std::uint64_t count,
-                  MhResult* chain_out);
-
-  void ServeSamplesBudget(VertexId r, const EstimateRequest& request,
-                          EstimateReport* report);
-  void ServeAdaptiveBudget(VertexId r, const EstimateRequest& request,
-                           const WallTimer& call_clock,
-                           EstimateReport* report);
 
   const CsrGraph* graph_;
   EngineOptions options_;
@@ -428,11 +420,10 @@ class BetweennessEngine {
   std::uint64_t graph_epoch_ = 0;
 
   std::unique_ptr<DependencyOracle> oracle_;
-  std::unique_ptr<MhBetweennessSampler> mh_;
-  std::unique_ptr<UniformSourceSampler> uniform_;
-  std::unique_ptr<DistanceProportionalSampler> distance_;
-  std::unique_ptr<RkSampler> rk_;
-  std::unique_ptr<GeisbergerSampler> geisberger_;
+  /// One iid sampler per kind, indexed by kind; empty until first use.
+  std::vector<std::unique_ptr<SourceSampler>> samplers_;
+  /// The chain sampler `mh` and `mh-rb` share.
+  std::unique_ptr<MhBetweennessSampler> chain_;
 
   std::vector<double> exact_scores_;
   bool exact_ready_ = false;
@@ -446,9 +437,10 @@ class BetweennessEngine {
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<BetweennessEngine>> shards_;
 
-  /// Passes run outside the oracle and samplers (exact build, RK credit
-  /// batches, probes).
+  /// Passes run outside the oracle and shards (exact build, probes), plus
+  /// the passes and memo hits of shards ApplyDelta retired.
   std::uint64_t extra_passes_ = 0;
+  std::uint64_t retired_cache_hits_ = 0;
 };
 
 }  // namespace mhbc

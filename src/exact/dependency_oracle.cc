@@ -222,35 +222,37 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
       return it->second.deps;
     }
   }
-  ++num_passes_;
-  const std::vector<double>* deps;
-  const ShortestPathDag* dag;
-  if (delta_) {
-    delta_->Run(source);
-    deps = &accumulator_.Accumulate(*delta_);
-    dag = &delta_->dag();
-  } else {
-    bfs_->Run(source);
-    deps = &accumulator_.Accumulate(*bfs_);
-    dag = &bfs_->dag();
-  }
+  const ShortestPathDag& dag = Pass(source);
+  const std::vector<double>& deps = delta_ ? accumulator_.Accumulate(*delta_)
+                                           : accumulator_.Accumulate(*bfs_);
   if (cache_capacity_ > 0) {
     // Bulk eviction keeps the policy trivial and deterministic; the cache
     // refills from the live working set within one query's worth of passes.
     if (cache_.size() >= cache_capacity_) cache_.clear();
     CacheEntry entry;
-    entry.deps = *deps;
+    entry.deps = deps;
     // Each pass keeps its distances for the edit-survival test
     // (ApplyGraphDelta): hop distances unweighted, weighted distances
     // weighted.
     if (graph_->weighted()) {
-      entry.wdists = dag->wdist;
+      entry.wdists = dag.wdist;
     } else {
-      entry.hops = dag->dist;
+      entry.hops = dag.dist;
     }
     return cache_.emplace(source, std::move(entry)).first->second.deps;
   }
-  return *deps;
+  return deps;
+}
+
+const ShortestPathDag& DependencyOracle::Pass(VertexId source) {
+  MHBC_DCHECK(source < graph_->num_vertices());
+  ++num_passes_;
+  if (delta_) {
+    delta_->Run(source);
+    return delta_->dag();
+  }
+  bfs_->Run(source);
+  return bfs_->dag();
 }
 
 double DependencyOracle::Dependency(VertexId source, VertexId target) {

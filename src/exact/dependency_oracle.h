@@ -78,6 +78,13 @@ class DependencyOracle {
   /// the next call).
   const std::vector<double>& Dependencies(VertexId source);
 
+  /// Runs one counted shortest-path pass from `source` and returns its DAG
+  /// (valid until the next pass). Never memoized: it serves samplers that
+  /// read the DAG itself rather than the dependency vector (RK's path
+  /// backtrack, Geisberger's scaled sweep), so every pass an engine runs
+  /// goes through one pass engine and one counter.
+  const ShortestPathDag& Pass(VertexId source);
+
   /// Paper Eq. 7 integrand: f(v) = 1/(n-1) * sum_u sigma_{vu}(r)/sigma_{vu}
   ///                             = delta_{v.}(r) / (n-1).
   /// One pass from v.

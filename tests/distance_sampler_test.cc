@@ -6,6 +6,7 @@
 
 #include "exact/brandes.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 
 namespace mhbc {
 namespace {
@@ -62,6 +63,20 @@ TEST(DistanceSamplerTest, TargetSwitchRebuildsTable) {
   const double exact_edge = ExactBetweennessSingle(g, 1);
   EXPECT_NEAR(at_center, exact_center, 0.05);
   EXPECT_NEAR(at_edge, exact_edge, 0.05);
+}
+
+TEST(DistanceSamplerTest, TargetReachingNothingEstimatesZero) {
+  // Vertex 3 has no edges, so it lies on no shortest path: BC is exactly
+  // 0, and its distance table has no source to draw.
+  GraphBuilder builder(4);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  const CsrGraph g = std::move(builder.Build()).value();
+  DistanceProportionalSampler sampler(g, 21);
+  EXPECT_EQ(sampler.Estimate(3, 50), 0.0);
+  EXPECT_EQ(sampler.num_passes(), 1u);  // the distance pass, no draws
+  // The sampler still serves targets that reach something.
+  EXPECT_GT(sampler.Estimate(1, 50), 0.0);
 }
 
 }  // namespace

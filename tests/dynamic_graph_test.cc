@@ -597,6 +597,44 @@ TEST(DynamicEquivalenceTest, RandomScriptsKeepCompositionExact) {
   }
 }
 
+// total_sp_passes() and dependency_cache_hits() never go backwards across
+// an edit, so `after - before` taken across ApplyDelta cannot wrap: every
+// sampler counts its passes on the engine's oracle, which survives the
+// edit, and the shards ApplyDelta retires keep their counts.
+TEST(DynamicEquivalenceTest, WorkCountersNeverGoBackAcrossApplyDelta) {
+  const CsrGraph start = MakeBarabasiAlbert(200, 3, 0xC0);
+  VertexId u = 0;
+  while (start.HasEdge(u, 199)) ++u;  // an edge the graph lacks
+  GraphDelta insert;
+  insert.AddEdge(u, 199);
+  std::vector<VertexId> vertices;
+  for (VertexId v = 0; v < 8; ++v) vertices.push_back(v * 25);
+  for (unsigned threads : {1u, 4u}) {
+    for (const EstimatorEntry& entry : EstimatorRegistry()) {
+      const std::string where =
+          std::string(entry.name) + " threads=" + std::to_string(threads);
+      EngineOptions options;
+      options.num_threads = threads;
+      BetweennessEngine engine(start, options);
+      EstimateRequest request;
+      request.kind = entry.kind;
+      request.samples = 100;
+      ASSERT_TRUE(engine.EstimateMany(vertices, request).ok()) << where;
+      std::uint64_t passes = engine.total_sp_passes();
+      std::uint64_t hits = engine.dependency_cache_hits();
+      EXPECT_GT(passes, 0u) << where;
+      ASSERT_TRUE(engine.ApplyDelta(insert).ok()) << where;
+      EXPECT_GE(engine.total_sp_passes(), passes) << where;
+      EXPECT_GE(engine.dependency_cache_hits(), hits) << where;
+      passes = engine.total_sp_passes();
+      hits = engine.dependency_cache_hits();
+      ASSERT_TRUE(engine.EstimateMany(vertices, request).ok()) << where;
+      EXPECT_GE(engine.total_sp_passes(), passes) << where;
+      EXPECT_GE(engine.dependency_cache_hits(), hits) << where;
+    }
+  }
+}
+
 TEST(DynamicEquivalenceTest, ApplyDeltaFailureLeavesEngineUsable) {
   const CsrGraph start = MakeCycle(8);
   BetweennessEngine engine(start);

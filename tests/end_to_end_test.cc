@@ -5,7 +5,8 @@
 #include <sstream>
 
 #include "centrality/api.h"
-#include "core/adaptive.h"
+#include "centrality/engine.h"
+#include "core/theory.h"
 #include "datasets/registry.h"
 #include "exact/brandes.h"
 #include "graph/generators.h"
@@ -77,13 +78,20 @@ TEST(EndToEndTest, RegistryDatasetThroughJointRanking) {
 
 TEST(EndToEndTest, AdaptiveOnLoadedGraphMatchesChainLimit) {
   const CsrGraph graph = std::move(MakeDataset("caveman-36")).value();
-  AdaptiveOptions options;
-  options.seed = 0xADA;
-  options.epsilon = 0.02;
-  const AdaptiveResult result = AdaptiveMhEstimate(graph, /*gateway=*/8, options);
-  EXPECT_TRUE(result.converged);
-  EXPECT_GT(result.estimate, 0.0);
-  EXPECT_LT(result.estimate, 1.0);
+  const VertexId gateway = 8;
+  BetweennessEngine engine(graph);
+  EstimateRequest request;
+  request.kind = EstimatorKind::kMetropolisHastings;
+  request.budget = BudgetKind::kStandardError;
+  request.target_std_error = 0.02 / kConfidenceZ;  // CI half-width 0.02
+  request.seed = 0xADA;
+  const auto result = engine.Estimate(gateway, request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().converged);
+  EXPECT_GT(result.value().value, 0.0);
+  EXPECT_LT(result.value().value, 1.0);
+  const double limit = ChainLimitEstimate(DependencyProfile(graph, gateway));
+  EXPECT_NEAR(result.value().value, limit, 3 * 0.02);
 }
 
 TEST(EndToEndTest, TopKAgreesWithExactOnRegistryDataset) {

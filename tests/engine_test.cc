@@ -158,6 +158,17 @@ TEST(EngineTest, RkCreditVectorIsSharedAcrossVertices) {
   const auto direct = fresh.Estimate(15, request);
   ASSERT_TRUE(direct.ok());
   EXPECT_DOUBLE_EQ(reports.value()[1].value, direct.value().value);
+  EXPECT_EQ(fresh.total_sp_passes(), 500u);
+  // At four threads the credit batches pass on the shards' oracles: each
+  // sampled path is still one pass, counted once.
+  EngineOptions wide_options;
+  wide_options.num_threads = 4;
+  BetweennessEngine wide(g, wide_options);
+  const auto wide_report = wide.Estimate(15, request);
+  ASSERT_TRUE(wide_report.ok());
+  EXPECT_EQ(wide_report.value().sp_passes, 500u);
+  EXPECT_EQ(wide.total_sp_passes(), 500u);
+  EXPECT_DOUBLE_EQ(wide_report.value().value, direct.value().value);
 }
 
 TEST(EngineTest, JointResultCacheServesScoresAndRanking) {
@@ -220,7 +231,7 @@ TEST(EngineTest, ChainReportsCarryDiagnostics) {
   EXPECT_GT(report.value().ess, 0.0);
   EXPECT_GT(report.value().std_error, 0.0);
   EXPECT_DOUBLE_EQ(report.value().ci_half_width,
-                   request.z * report.value().std_error);
+                   kConfidenceZ * report.value().std_error);
   EXPECT_EQ(report.value().samples_used, 600u);
   EXPECT_EQ(report.value().vertex, 6u);
 }
@@ -253,6 +264,13 @@ TEST(EngineTest, StandardErrorBudgetReportsNonConvergence) {
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report.value().converged);
   EXPECT_LE(report.value().samples_used, 512u);
+  // A chain kind hits the cap too: its doubling runs end at exactly
+  // max_samples iterations.
+  request.kind = EstimatorKind::kMetropolisHastings;
+  const auto chain = engine.Estimate(0, request);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_FALSE(chain.value().converged);
+  EXPECT_EQ(chain.value().samples_used, 512u);
 }
 
 TEST(EngineTest, AdaptiveChainBudgetConverges) {
@@ -277,6 +295,19 @@ TEST(EngineTest, AdaptiveChainBudgetConverges) {
   const auto replayed = fresh.Estimate(5, replay);
   ASSERT_TRUE(replayed.ok());
   EXPECT_DOUBLE_EQ(replayed.value().value, report.value().value);
+  // A tighter target costs more iterations.
+  request.target_std_error = 0.005;
+  const auto tighter = engine.Estimate(5, request);
+  ASSERT_TRUE(tighter.ok());
+  EXPECT_TRUE(tighter.value().converged);
+  EXPECT_GT(tighter.value().samples_used, report.value().samples_used);
+  // A zero-betweenness clique vertex stops at the first run: every term
+  // is 0, so the standard error is too.
+  const auto zero = engine.Estimate(0, request);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_TRUE(zero.value().converged);
+  EXPECT_EQ(zero.value().samples_used, 128u);
+  EXPECT_EQ(zero.value().value, 0.0);
 }
 
 TEST(EngineTest, DeadlineBudgetStopsAndReports) {

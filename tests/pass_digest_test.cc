@@ -11,6 +11,7 @@
 #include "baselines/rk_sampler.h"
 #include "centrality/engine.h"
 #include "exact/dependency_oracle.h"
+#include "core/joint_space.h"
 #include "graph/generators.h"
 
 /// \file
@@ -18,8 +19,9 @@
 /// two runs of one build (kernels, thread counts, grains), so a change
 /// that moves every run the same way passes them all. This suite pins
 /// outputs to FNV-1a digests recorded as constants: dependency vectors
-/// from fixed sources, RK credit vectors, Geisberger estimates, and the
-/// report fields of one analyst session. A speed change to the SPD
+/// from fixed sources, RK credit vectors, Geisberger estimates, the
+/// report fields of one analyst session, and every registry estimator
+/// served through one engine at two budgets. A speed change to the SPD
 /// kernels or the backward sweep must leave every digest unchanged; a
 /// change that means to move results updates the constants and says why.
 
@@ -130,7 +132,8 @@ TEST(PassDigestTest, RkCreditVectors) {
   const std::vector<Fixture> fixtures = Fixtures();
   for (std::size_t f = 0; f < fixtures.size(); ++f) {
     for (const auto& [config, spd] : Configs()) {
-      RkSampler rk(fixtures[f].graph, /*seed=*/0x4B, spd);
+      DependencyOracle oracle(fixtures[f].graph, spd);
+      RkSampler rk(fixtures[f].graph, /*seed=*/0x4B, &oracle);
       Fnv1a digest;
       digest.AddAll(rk.EstimateAll(128));
       EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
@@ -147,7 +150,8 @@ TEST(PassDigestTest, GeisbergerEstimates) {
   for (std::size_t f = 0; f < fixtures.size(); ++f) {
     const CsrGraph& g = fixtures[f].graph;
     for (const auto& [config, spd] : Configs()) {
-      GeisbergerSampler geisberger(g, /*seed=*/0x6E, spd);
+      DependencyOracle oracle(g, spd);
+      GeisbergerSampler geisberger(g, /*seed=*/0x6E, &oracle);
       Fnv1a digest;
       for (VertexId r : {VertexId{0}, g.num_vertices() / 3,
                          g.num_vertices() / 2, g.num_vertices() - 1}) {
@@ -192,6 +196,110 @@ TEST(PassDigestTest, AnalystSessionReport) {
   digest.AddAll(order.value());
   digest.Add(engine.total_sp_passes());
   EXPECT_EQ(Hex(digest.value()), Hex(expected));
+}
+
+/// Statistical fields of a report, plus the work accounting when `work`.
+void AddReport(const EstimateReport& report, bool work, Fnv1a* digest) {
+  digest->Add(report.vertex);
+  digest->Add(static_cast<int>(report.kind));
+  digest->Add(report.value);
+  digest->Add(report.samples_used);
+  digest->Add(report.acceptance_rate);
+  digest->Add(report.ess);
+  digest->Add(report.std_error);
+  digest->Add(report.ci_half_width);
+  digest->Add(report.converged);
+  if (work) {
+    digest->Add(report.sp_passes);
+    digest->Add(report.cache_hit);
+  }
+}
+
+/// One engine serves every registry estimator at kSamples and at
+/// kStandardError over four targets, then TopK and EstimateRelative. At
+/// one thread the digest covers every report field but `seconds` and the
+/// engine's pass and memo-hit totals after each call; at more threads
+/// (the sharded EstimateMany path) it covers the statistical fields only.
+std::uint64_t EngineSessionDigest(const CsrGraph& g, unsigned threads) {
+  const bool work = threads == 1;
+  EngineOptions options;
+  options.num_threads = threads;
+  BetweennessEngine engine(g, options);
+  const VertexId n = g.num_vertices();
+  const std::vector<VertexId> targets = {0, n / 3, n / 2, n - 1};
+  Fnv1a digest;
+  for (const EstimatorEntry& entry : EstimatorRegistry()) {
+    if (g.weighted() && !entry.supports_weighted) continue;
+    for (BudgetKind budget :
+         {BudgetKind::kSamples, BudgetKind::kStandardError}) {
+      EstimateRequest request;
+      request.kind = entry.kind;
+      request.budget = budget;
+      request.samples = 200;
+      request.target_std_error = 0.004;
+      request.max_samples = 1024;
+      request.seed = 0xD16 + static_cast<std::uint64_t>(entry.kind);
+      const auto reports = engine.EstimateMany(targets, request);
+      EXPECT_TRUE(reports.ok()) << entry.name;
+      if (!reports.ok()) continue;
+      for (const EstimateReport& report : reports.value()) {
+        AddReport(report, work, &digest);
+      }
+      if (work) {
+        digest.Add(engine.total_sp_passes());
+        digest.Add(engine.dependency_cache_hits());
+      }
+    }
+  }
+  const auto top = engine.TopK(5, 0.1, 0.1, 0x70F);
+  EXPECT_TRUE(top.ok());
+  if (top.ok()) {
+    for (const TopKEntry& entry : top.value()) {
+      digest.Add(entry.vertex);
+      digest.Add(entry.estimate);
+    }
+  }
+  const auto joint = engine.EstimateRelative(targets, 256, 0x5E1);
+  EXPECT_TRUE(joint.ok());
+  if (joint.ok()) {
+    const JointResult& result = joint.value();
+    for (const std::vector<double>& row : result.relative) digest.AddAll(row);
+    for (const std::vector<double>& row : result.ratio) digest.AddAll(row);
+    digest.AddAll(result.samples_per_target);
+    digest.Add(result.undersampled);
+    digest.AddAll(result.copeland_scores);
+    digest.Add(result.diagnostics.iterations);
+    digest.Add(result.diagnostics.accepted);
+    digest.Add(result.diagnostics.rejected);
+    digest.Add(result.diagnostics.distinct_states);
+  }
+  if (work) {
+    digest.Add(engine.total_sp_passes());
+    digest.Add(engine.dependency_cache_hits());
+  }
+  return digest.value();
+}
+
+TEST(PassDigestTest, EngineReportsEveryEstimator) {
+  // {1 thread, 4 threads} per graph.
+  const std::uint64_t expected[][2] = {
+      {0x2fdf4f63db16848cULL, 0x2edf5e1986a847b7ULL},
+      {0xff05f634bbe20096ULL, 0xb05dcef87344c65cULL},
+      {0x76659915ebb01c25ULL, 0x650eca163f3320e6ULL},
+  };
+  std::vector<Fixture> fixtures;
+  fixtures.push_back({"ba-1000", MakeBarabasiAlbert(1000, 3, 0xD16E57)});
+  fixtures.push_back(
+      {"directed-1000", MakeRandomDirected(1000, 5000, 0xD1)});
+  fixtures.push_back({"weighted-grid-20x20",
+                      AssignUniformWeights(MakeGrid(20, 20), 1.0, 4.0, 0x3E)});
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    for (unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(Hex(EngineSessionDigest(fixtures[f].graph, threads)),
+                Hex(expected[f][threads == 1 ? 0 : 1]))
+          << fixtures[f].name << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

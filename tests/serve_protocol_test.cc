@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "centrality/engine.h"
 #include "datasets/registry.h"
+#include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -220,6 +222,33 @@ TEST_F(ServeProtocolTest, RequestDefaultsAndFieldLifting) {
   EXPECT_FALSE(defaults.has_id);
   EXPECT_LT(defaults.deadline_ms, 0.0);  // "no deadline"
   EXPECT_EQ(defaults.priority, 0);
+}
+
+// Cutting a path's last edge leaves vertex 3 reaching no other vertex. Its
+// betweenness is exactly 0, and every estimator must answer so without
+// aborting the daemon — distance included, whose proposal table is then
+// empty.
+TEST(ServeReplayTest, IsolatedTargetAnswersZeroForEveryEstimator) {
+  GraphCatalog catalog;
+  ASSERT_TRUE(
+      catalog.AddGraph("p", MakePath(4), EngineOptions(), /*sessions=*/1)
+          .ok());
+  Server server(&catalog, ServerOptions());
+  const auto mutate = ParseServeResponse(server.Call(
+      R"({"id": 1, "method": "mutate", "graph": "p", "edits": "remove 2 3"})"));
+  ASSERT_TRUE(mutate.ok());
+  ASSERT_TRUE(mutate.value().ok);
+  for (const EstimatorEntry& entry : EstimatorRegistry()) {
+    const std::string line = server.Call(
+        std::string(R"({"id": 2, "method": "estimate", "graph": "p", )") +
+        R"("vertices": [3], "samples": 8, "estimator": ")" + entry.name +
+        R"("})");
+    const auto response = ParseServeResponse(line);
+    ASSERT_TRUE(response.ok()) << line;
+    ASSERT_TRUE(response.value().ok) << line;
+    ASSERT_EQ(response.value().reports.size(), 1u) << line;
+    EXPECT_EQ(response.value().reports[0].value, 0.0) << line;
+  }
 }
 
 }  // namespace
