@@ -28,7 +28,13 @@
 //
 // Sizing:
 //   --sessions=<k>        warm engines per graph = max concurrent readers
-//                         of that graph (default 2)
+//                         of that graph (default 2). The sessions share
+//                         one dependency memo per graph (at most 256 MiB),
+//                         so at --threads=1 memo memory does not grow
+//                         with <k>; each session adds one pass engine's
+//                         scratch (O(n + m)). With --threads > 1 each
+//                         session's shards also keep private memos, up to
+//                         256 MiB more per session.
 //   --workers=<k>         executor threads (default 2)
 //   --queue=<k>           admission queue capacity; a full queue rejects
 //                         with the `overload` error class (default 64)

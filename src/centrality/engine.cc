@@ -133,42 +133,20 @@ std::uint64_t ReportBatchSize(std::uint64_t samples, std::uint64_t b) {
 // ---------------------------------------------------------- construction
 
 BetweennessEngine::BetweennessEngine(const CsrGraph& graph,
-                                     EngineOptions options)
-    : graph_(&graph), options_(options) {}
+                                     EngineOptions options,
+                                     std::shared_ptr<DependencyMemo> memo)
+    : graph_(&graph), options_(options), shared_memo_(std::move(memo)) {}
 
 BetweennessEngine::~BetweennessEngine() = default;
 
 // ------------------------------------------------------------ lazy state
 
-namespace {
-
-// Bytes one dependency-memo entry costs on `graph`: the memoized vector (n
-// doubles) plus the pass distances kept for ApplyDelta's selective
-// invalidation (n u32 hop distances unweighted, n double weighted
-// distances weighted).
-std::size_t DependencyEntryBytes(const CsrGraph& graph) {
-  return static_cast<std::size_t>(graph.num_vertices()) *
-         (graph.weighted() ? sizeof(double) + sizeof(double)
-                           : sizeof(double) + sizeof(std::uint32_t));
-}
-
-}  // namespace
-
-std::size_t BetweennessEngine::DependencyCacheEntries(
-    const CsrGraph& graph) const {
-  // Entry capacity from the byte budget; more than n entries can never be
-  // used.
-  const std::size_t bytes_per_entry = DependencyEntryBytes(graph);
-  if (bytes_per_entry == 0) return 0;
-  return std::min<std::size_t>(
-      options_.dependency_cache_bytes / bytes_per_entry,
-      graph.num_vertices());
-}
-
 DependencyOracle* BetweennessEngine::oracle() {
   if (!oracle_) {
-    oracle_ = std::make_unique<DependencyOracle>(*graph_, IntraPassSpd());
-    oracle_->set_cache_capacity(DependencyCacheEntries(*graph_));
+    oracle_ = std::make_unique<DependencyOracle>(*graph_, IntraPassSpd(),
+                                                 shared_memo_, graph_epoch_);
+    oracle_->set_cache_capacity(DependencyMemo::CapacityFor(
+        options_.dependency_cache_bytes, *graph_));
   }
   return oracle_.get();
 }
@@ -216,7 +194,7 @@ void BetweennessEngine::EnsureShards() {
   if (options_.dependency_cache_bytes > 0) {
     shard_options.dependency_cache_bytes =
         std::max(shard_options.dependency_cache_bytes,
-                 DependencyEntryBytes(*graph_));
+                 DependencyMemo::EntryBytes(*graph_));
   }
   shards_.reserve(pool()->num_threads());
   for (unsigned w = 0; w < pool()->num_threads(); ++w) {
@@ -552,16 +530,14 @@ StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateBatch(
     return reports;
   }
   EnsureShards();
-  // Pre-warm each shard from the owning oracle's memo (a vector copy is
-  // much cheaper than the pass it replaces), then fan out. Within one
-  // fan-out the shards still pay their passes independently — that is the
-  // price of a zero-synchronization hot path — but knowledge accumulated
-  // by earlier queries and earlier fan-outs is shared. Shards are bound to
+  // Pre-warm each shard from the owning oracle's memo (entries are shared,
+  // not copied), then fan out. Within one fan-out the shards still pay
+  // their passes independently — that is the price of private shard memos
+  // — but knowledge accumulated by earlier queries and earlier fan-outs
+  // (on a shared memo, also other engines') is shared. Shards are bound to
   // this engine's graph, which the requests were validated against.
-  if (oracle_) {
-    for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-      shard->oracle()->MergeCacheFrom(*oracle_);
-    }
+  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
+    shard->oracle()->MergeCacheFrom(*oracle());
   }
   std::vector<EstimateReport> reports = ParallelMap<EstimateReport>(
       pool(), requests.size(),
@@ -687,7 +663,8 @@ Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   const CsrGraph& next = dynamic_->Csr();  // materializes the edits
   if (oracle_) {
     oracle_->ApplyGraphDelta(next, resolved);
-    oracle_->set_cache_capacity(DependencyCacheEntries(next));
+    oracle_->set_cache_capacity(DependencyMemo::CapacityFor(
+        options_.dependency_cache_bytes, next));
   }
   graph_ = &next;
   ++graph_epoch_;

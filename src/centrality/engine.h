@@ -48,6 +48,17 @@
 /// passes of their own; the sharded paths below run on the shards'
 /// oracles.
 ///
+/// One memo. The oracle memoizes in a DependencyMemo
+/// (exact/dependency_memo.h), private to the engine by default. An engine
+/// constructed on a shared memo reads and fills that one instead: the
+/// serving catalog builds one memo per graph and every session's engine
+/// on it (serve/catalog.h), so a pass one session runs is a hit for the
+/// others. Either way the engine sizes its memo from
+/// EngineOptions::dependency_cache_bytes.
+/// The memo is thread-safe and keeps a returned vector alive until its
+/// oracle's next call, so sessions on different threads may share it while
+/// each engine stays single-threaded. Shards always keep private memos.
+///
 /// Per-estimator state, all built lazily on first use: one sampler per
 /// iid kind, made by its registry entry's factory on the oracle
 /// (baselines/source_sampler.h); one MhBetweennessSampler shared by the
@@ -120,7 +131,7 @@
 /// engine still require external synchronization (queries mutate shared
 /// caches). For concurrent serving either put a mutex in front of one
 /// engine or shard one engine per server worker — engines share nothing
-/// but the graph.
+/// but the graph and, when constructed on one, the thread-safe memo.
 ///
 /// Graph mutation. ApplyDelta(delta) edits the served graph in place
 /// (through an internal DynamicGraph overlay; see graph/dynamic_graph.h)
@@ -131,10 +142,12 @@
 /// count and SPD kernel setting. Samplers, shards and whole-graph products
 /// (exact scores, the RK credit vector, the diameter probe, the joint-space
 /// result) are rebuilt on next use; the dependency memo survives
-/// *selectively* —
-/// only cached passes whose BFS trees an edit touches are dropped
-/// (DependencyOracle::ApplyGraphDelta), which is what makes a small edit
-/// batch cheaper to re-estimate than a cold rebuild. The work counters
+/// *selectively* — only cached passes whose BFS trees an edit touches are
+/// dropped (DependencyMemo::ApplyGraphDelta), which is what makes a small
+/// edit batch cheaper to re-estimate than a cold rebuild. A shared memo
+/// is filtered once per edit batch: engines sharing it must apply the
+/// same deltas in the same order, and the first to apply one does the
+/// filtering for all. The work counters
 /// (total_sp_passes, dependency_cache_hits) never go backwards across an
 /// edit. After the first
 /// ApplyDelta, graph() returns the engine-owned post-edit graph; the
@@ -213,13 +226,17 @@ struct EstimateReport : BetweennessEstimate {
 
 /// Engine-wide knobs.
 struct EngineOptions {
-  /// Memory budget (bytes) for the shared dependency-vector memo; the
-  /// engine derives the entry capacity as budget / per-entry-bytes (n
-  /// doubles, plus n u32 hop distances unweighted or n double weighted
-  /// distances weighted, kept for edit invalidation), so the footprint
-  /// stays bounded on any graph size
-  /// (capped at n entries — beyond that every source is already
-  /// memoized). 0 disables cross-query pass reuse.
+  /// Memory budget (bytes) for the engine's dependency-vector memo, which
+  /// every estimator of the engine shares; the entry capacity is
+  /// DependencyMemo::CapacityFor(budget, graph) — budget over
+  /// DependencyMemo::EntryBytes (n doubles, plus n u32 hop distances
+  /// unweighted or n double weighted distances weighted, kept for edit
+  /// invalidation), capped at n entries — so the footprint stays bounded
+  /// on any graph size. Shards split the budget between them. An engine
+  /// constructed on a shared memo sizes that memo by the same rule; the
+  /// engines sharing one have the same options and graph, so they agree,
+  /// and the budget is per memo: per graph, not per session, in the
+  /// serving catalog. 0 disables cross-query pass reuse.
   std::size_t dependency_cache_bytes = std::size_t{256} << 20;  // 256 MiB
   /// Worker threads for the engine's parallel paths (exact Brandes build,
   /// RK credit batches, sharded EstimateMany / EstimateBatch). 0 = one per
@@ -275,9 +292,17 @@ const EstimatorEntry* FindEstimator(const std::string& name);
 class BetweennessEngine {
  public:
   /// The graph must outlive the engine. Construction is O(1); all
-  /// per-estimator state is built lazily on first use.
+  /// per-estimator state is built lazily on first use. `memo` is the
+  /// dependency memo to share with other engines serving the same graph
+  /// sequence with the same options (the catalog's sessions,
+  /// serve/catalog.h), and the engine's shards keep private memos
+  /// regardless. Null (the default) gives the engine a private memo.
+  /// Either way the engine sizes its memo from
+  /// options.dependency_cache_bytes when it builds its oracle and after
+  /// each ApplyDelta.
   explicit BetweennessEngine(const CsrGraph& graph,
-                             EngineOptions options = EngineOptions());
+                             EngineOptions options = EngineOptions(),
+                             std::shared_ptr<DependencyMemo> memo = nullptr);
   ~BetweennessEngine();
 
   BetweennessEngine(const BetweennessEngine&) = delete;
@@ -367,10 +392,6 @@ class BetweennessEngine {
   Status ValidateTargets(const std::vector<VertexId>& targets,
                          std::uint64_t iterations) const;
 
-  /// Dependency-memo entry capacity for `graph` under the byte budget
-  /// (entries also carry the pass distances for edit invalidation).
-  std::size_t DependencyCacheEntries(const CsrGraph& graph) const;
-
   /// options_.num_threads resolved (0 -> hardware concurrency).
   unsigned resolved_threads() const;
   /// options_.spd with num_threads == 0 (inherit) resolved to the engine's
@@ -419,6 +440,8 @@ class BetweennessEngine {
   std::unique_ptr<DynamicGraph> dynamic_;
   std::uint64_t graph_epoch_ = 0;
 
+  /// The memo the engine was constructed on (null: private).
+  std::shared_ptr<DependencyMemo> shared_memo_;
   std::unique_ptr<DependencyOracle> oracle_;
   /// One iid sampler per kind, indexed by kind; empty until first use.
   std::vector<std::unique_ptr<SourceSampler>> samplers_;

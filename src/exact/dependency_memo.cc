@@ -1,0 +1,278 @@
+#include "exact/dependency_memo.h"
+
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
+#include "util/common.h"
+
+namespace mhbc {
+
+namespace {
+
+/// True when the edit batch provably leaves the pass' shortest-path DAG —
+/// and therefore its dependency vector, bit-for-bit — unchanged. `hops`
+/// holds the pass' pre-edit hop distances (kUnreachedDistance sentinel for
+/// unreached vertices; appended vertices index past the end and read as
+/// unreached). Unweighted criterion per edit {u,v}: the DAG is untouched
+/// iff dist(s,u) == dist(s,v) — an intra-level edge lies on no shortest
+/// path, removing one deletes no DAG edge and inserting one creates none,
+/// and two equal *unreached* sentinels mean the edit happens outside the
+/// pass' component entirely. Any distance mismatch can change distances,
+/// sigma counts, or the level structure, so the pass is dropped. The test
+/// is evaluated against the original distances for every edit in the
+/// batch, which is sound by induction: each passing edit leaves all
+/// distances unchanged, so the stored vector stays valid for the next
+/// edit. Vertex appends never touch an existing pass.
+bool PassSurvivesEdits(const std::vector<std::uint32_t>& hops,
+                       std::span<const GraphEdit> edits, bool directed) {
+  const auto dist_of = [&hops](VertexId v) {
+    return v < hops.size() ? hops[v] : kUnreachedDistance;
+  };
+  for (const GraphEdit& edit : edits) {
+    if (edit.kind == GraphEdit::Kind::kAddVertex) continue;
+    if (directed) {
+      // Directed arc u→v: only paths *through* the arc matter, and those
+      // enter at u. An unreached u can never feed the arc (insert or
+      // remove). A reached u leaves the DAG untouched iff the arc is
+      // slack: dist(u)+1 > dist(v) means it lies on no shortest path
+      // (remove deletes nothing) and cannot create or tie one (insert
+      // adds nothing). dist(u)+1 <= dist(v) — including an unreached v,
+      // which an insert would newly reach — can change distances or
+      // sigma, so the pass drops. The comparison is overflow-safe: u is
+      // reached, so dist(u)+1 fits.
+      const std::uint32_t du = dist_of(edit.u);
+      if (du == kUnreachedDistance) continue;
+      if (static_cast<std::uint64_t>(du) + 1 <=
+          static_cast<std::uint64_t>(dist_of(edit.v))) {
+        return false;
+      }
+      continue;
+    }
+    if (dist_of(edit.u) != dist_of(edit.v)) return false;
+  }
+  return true;
+}
+
+/// Weighted companion of PassSurvivesEdits (see the class comment for the
+/// full soundness argument). `wdists` holds the pass' pre-edit weighted
+/// distances (-1 sentinel for unreached; appended vertices index past the
+/// end and read as unreached); `delta` is the engine still bound to the
+/// *pre-edit* graph, consulted for the canonical tie epsilon and the
+/// per-vertex minimum incident weights the wave rule depends on. Per edit
+/// {u,v,w}: both endpoints unreached survives (the edit cannot touch the
+/// pass' component); one reached endpoint drops (an inserted edge extends
+/// the component, and an undirected edge with one reached endpoint always
+/// made the other reachable, so this only arises on insert); both reached
+/// survives iff the edge is slack both ways under the canonical tie rule
+/// AND w cannot change either endpoint's minimum incident weight. Sound by
+/// induction over the batch: each passing edit changes no distance, no
+/// tie, and no minw, so the stored vectors (and the old engine's minw
+/// table) stay valid for the next edit.
+bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
+                               std::span<const GraphEdit> edits,
+                               const DeltaSpd& delta, bool directed) {
+  const auto wdist_of = [&wdists](VertexId v) {
+    return v < wdists.size() ? wdists[v] : -1.0;
+  };
+  const double eps = delta.options().tie_epsilon;
+  const auto equal = [eps](double a, double b) {
+    if (a == b) return true;
+    const double scale = std::max(std::fabs(a), std::fabs(b));
+    return std::fabs(a - b) <= eps * scale;
+  };
+  for (const GraphEdit& edit : edits) {
+    if (edit.kind == GraphEdit::Kind::kAddVertex) continue;
+    const double du = wdist_of(edit.u);
+    const double dv = wdist_of(edit.v);
+    const bool u_reached = du >= 0.0;
+    const bool v_reached = dv >= 0.0;
+    const double w = edit.weight;
+    if (directed) {
+      // Directed arc u→v: paths through it enter at u, so an unreached u
+      // makes the edit invisible to the pass. A reached u with an
+      // unreached v drops (an insert newly reaches v; a removal from a
+      // reached u to an unreached v cannot exist). Both reached survives
+      // iff the arc is slack one way — du + w strictly above dv and not
+      // within the canonical tie window — and w cannot change v's
+      // minimum *incoming* weight, the only minw the wave rule reads for
+      // relaxations into v (min_incident_weight is the min in-weight on
+      // directed graphs).
+      if (!u_reached) continue;
+      if (!v_reached) return false;
+      if (du + w < dv || equal(du + w, dv)) return false;
+      const double minw_v = delta.min_incident_weight(edit.v);
+      if (edit.kind == GraphEdit::Kind::kAddEdge) {
+        if (w < minw_v) return false;
+      } else {
+        if (w <= minw_v) return false;
+      }
+      continue;
+    }
+    if (!u_reached && !v_reached) continue;
+    if (u_reached != v_reached) return false;
+    // Slack both ways: on no shortest path, creates none, ties nothing.
+    if (du + w < dv || equal(du + w, dv)) return false;
+    if (dv + w < du || equal(dv + w, du)) return false;
+    // minw gate: the wave geometry consults min incident weights, so the
+    // edit must leave both endpoints' minimum unchanged. An insert needs
+    // w >= minw (it cannot become the new minimum); a removal needs
+    // w > minw (at w == minw it may have *been* the minimum).
+    const double minw_u = delta.min_incident_weight(edit.u);
+    const double minw_v = delta.min_incident_weight(edit.v);
+    if (edit.kind == GraphEdit::Kind::kAddEdge) {
+      if (w < minw_u || w < minw_v) return false;
+    } else {
+      if (w <= minw_u || w <= minw_v) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+std::size_t DependencyMemo::EntryBytes(const CsrGraph& graph) {
+  return static_cast<std::size_t>(graph.num_vertices()) *
+         (graph.weighted() ? sizeof(double) + sizeof(double)
+                           : sizeof(double) + sizeof(std::uint32_t));
+}
+
+std::size_t DependencyMemo::CapacityFor(std::size_t budget_bytes,
+                                        const CsrGraph& graph) {
+  const std::size_t bytes_per_entry = EntryBytes(graph);
+  if (bytes_per_entry == 0) return 0;
+  return std::min<std::size_t>(budget_bytes / bytes_per_entry,
+                               graph.num_vertices());
+}
+
+void DependencyMemo::set_capacity(std::size_t capacity) {
+  const MutexLock lock(mu_);
+  capacity_ = capacity;
+  if (capacity_ == 0) entries_.clear();
+}
+
+std::size_t DependencyMemo::capacity() const {
+  const MutexLock lock(mu_);
+  return capacity_;
+}
+
+bool DependencyMemo::AtEpoch(std::uint64_t epoch) {
+  if (epoch > epoch_) {
+    invalidated_ += entries_.size();
+    entries_.clear();
+    epoch_ = epoch;
+  }
+  return epoch == epoch_;
+}
+
+DependencyMemo::EntryPtr DependencyMemo::Find(std::uint64_t epoch,
+                                              VertexId source) {
+  const MutexLock lock(mu_);
+  if (!AtEpoch(epoch)) return nullptr;
+  const auto it = entries_.find(source);
+  if (it == entries_.end()) return nullptr;
+  ++hits_;
+  return it->second;
+}
+
+DependencyMemo::EntryPtr DependencyMemo::Insert(
+    std::uint64_t epoch, VertexId source, const std::vector<double>& deps,
+    const ShortestPathDag& dag, bool weighted) {
+  // Copy outside the lock: other oracles keep reading meanwhile.
+  auto entry = std::make_shared<Entry>();
+  entry->deps = deps;
+  if (weighted) {
+    entry->wdists = dag.wdist;
+  } else {
+    entry->hops = dag.dist;
+  }
+  const MutexLock lock(mu_);
+  if (capacity_ == 0 || !AtEpoch(epoch)) return entry;
+  const auto it = entries_.find(source);
+  if (it != entries_.end()) return it->second;  // another oracle was first
+  // Bulk eviction keeps the policy trivial and deterministic; the memo
+  // refills from the live working set within one query's worth of passes.
+  if (entries_.size() >= capacity_) entries_.clear();
+  ++inserts_;
+  return entries_.emplace(source, std::move(entry)).first->second;
+}
+
+void DependencyMemo::ApplyGraphDelta(std::uint64_t epoch,
+                                     const CsrGraph& old_graph,
+                                     const CsrGraph& new_graph,
+                                     std::span<const GraphEdit> edits,
+                                     const DeltaSpd* old_delta) {
+  const MutexLock lock(mu_);
+  if (epoch_ > epoch) return;  // already filtered by another oracle
+  if (epoch_ < epoch || old_graph.weighted() != new_graph.weighted() ||
+      old_graph.directed() != new_graph.directed()) {
+    // Entries of an older epoch cannot be carried across these edits
+    // alone, and a weightedness or directedness flip re-keys every
+    // distance: drop everything.
+    invalidated_ += entries_.size();
+    entries_.clear();
+  }
+  epoch_ = epoch + 1;
+  const bool weighted = new_graph.weighted();
+  const bool directed = new_graph.directed();
+  const std::size_t n = new_graph.num_vertices();
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    const Entry& entry = *it->second;
+    MHBC_DCHECK(!weighted || old_delta != nullptr);
+    const bool survives =
+        edits.empty() ||
+        (weighted ? WeightedPassSurvivesEdits(entry.wdists, edits,
+                                              *old_delta, directed)
+                  : PassSurvivesEdits(entry.hops, edits, directed));
+    if (!survives) {
+      ++invalidated_;
+      it = entries_.erase(it);
+      continue;
+    }
+    // Surviving passes never reach an appended vertex: extend a copy with
+    // the exact values a fresh pass on the new graph would store (the old
+    // entry may still be pinned by an oracle).
+    if (entry.deps.size() < n) {
+      auto extended = std::make_shared<Entry>(entry);
+      extended->deps.resize(n, 0.0);
+      if (weighted) {
+        extended->wdists.resize(n, -1.0);
+      } else {
+        extended->hops.resize(n, kUnreachedDistance);
+      }
+      it->second = std::move(extended);
+    }
+    ++it;
+  }
+}
+
+void DependencyMemo::MergeFrom(std::uint64_t epoch, const DependencyMemo& other,
+                               std::uint64_t other_epoch) {
+  // Snapshot under `other`'s lock, then fill under this one: the two locks
+  // are never held together.
+  std::vector<std::pair<VertexId, EntryPtr>> incoming;
+  {
+    const MutexLock lock(other.mu_);
+    if (other.epoch_ != other_epoch) return;
+    incoming.assign(other.entries_.begin(), other.entries_.end());
+  }
+  const MutexLock lock(mu_);
+  if (capacity_ == 0 || !AtEpoch(epoch)) return;
+  for (auto& [source, entry] : incoming) {
+    if (entries_.size() >= capacity_) return;
+    entries_.emplace(source, std::move(entry));  // no-op when present
+  }
+}
+
+DependencyMemoStats DependencyMemo::Stats() const {
+  const MutexLock lock(mu_);
+  DependencyMemoStats stats;
+  stats.entries = entries_.size();
+  stats.capacity = capacity_;
+  stats.hits = hits_;
+  stats.inserts = inserts_;
+  stats.invalidated = invalidated_;
+  return stats;
+}
+
+}  // namespace mhbc

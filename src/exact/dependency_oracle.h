@@ -3,9 +3,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "exact/dependency_memo.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
 #include "sp/bfs_spd.h"
@@ -31,35 +31,26 @@ namespace mhbc {
 /// once, so a single oracle shared by several estimators (or by one
 /// estimator serving several target vertices — see centrality/engine.h)
 /// can memoize whole dependency vectors and serve repeated sources without
-/// re-running the pass. Memoization is opt-in via set_cache_capacity();
-/// cached answers are bit-identical to recomputed ones (the passes are
-/// deterministic), so caching never changes estimates, only work.
+/// re-running the pass. The vectors live in a DependencyMemo
+/// (exact/dependency_memo.h): by default a private one, off until
+/// set_cache_capacity(); or one shared with other oracles on the same graph
+/// sequence, passed at construction. Memoized answers are bit-identical to
+/// recomputed ones (the passes are deterministic), so caching — and which
+/// oracle filled the memo — never changes estimates, only work.
 ///
-/// Graph mutation. The oracle supports epoch-tagged rebinding for the
-/// dynamic-graph path (BetweennessEngine::ApplyDelta): ApplyGraphDelta
-/// points the oracle at the post-edit graph and drops *only* the memoized
-/// passes whose BFS trees an edit touches. For unweighted graphs each
-/// cached pass keeps its hop-distance vector, and an edit {u,v} provably
-/// leaves the pass' whole shortest-path DAG — distances, sigma, canonical
-/// order, and therefore the dependency vector bit-for-bit — unchanged iff
-/// dist(s,u) == dist(s,v) (an intra-level or fully-unreached edge lies on
-/// no shortest path, and inserting one creates none). Weighted passes keep
-/// their weighted-distance vector instead and survive an edit {u,v,w} iff
-/// (a) both endpoints were unreached (the edit happens outside the pass'
-/// component), or (b) both were reached, the edge is *slack both ways* —
-/// wdist(s,u) + w exceeds wdist(s,v) by more than the canonical tie
-/// epsilon and vice versa, so it lies on no shortest path, creates none,
-/// and creates or breaks no tie — and w leaves both endpoints' minimum
-/// incident weight unchanged (>= minw on insert, > minw on remove). The
-/// minw gate is what makes the test sound for DeltaSpd's canonical waves:
-/// wave membership — and with it the settle order, the level slices, and
-/// every floating-point regrouping downstream — is a function of distances
-/// and per-vertex minimum incident weights alone (the bucket width drifts
-/// with the mean edge weight, but outputs are invariant under it, see
-/// sp/delta_spd.h). Passes failing their test for any edit in the batch
-/// are dropped; survivors are extended with unreached sentinels for
-/// appended vertices and served exactly as a fresh pass on the new graph
-/// would compute them.
+/// Reference validity. A vector returned by Dependencies() stays valid
+/// until this oracle's next Dependencies(), Dependency(), EstimatorTerm()
+/// or ApplyGraphDelta() call, also when other oracles share the memo: the
+/// oracle holds the memo entry it returned, so an eviction by another
+/// oracle drops the memo's reference, not this one. An oracle itself is
+/// thread-compatible (one caller at a time); the memo it shares is
+/// thread-safe, so oracles on different threads may share one.
+///
+/// Graph mutation. ApplyGraphDelta points the oracle at the post-edit
+/// graph and advances its graph epoch; the memo drops *only* the passes an
+/// edit provably touches (the survival test in exact/dependency_memo.h),
+/// once per epoch however many oracles share it, and serves the survivors
+/// exactly as a fresh pass on the new graph would compute them.
 class DependencyOracle {
  public:
   /// The graph must outlive the oracle. Weighted graphs automatically use
@@ -67,15 +58,21 @@ class DependencyOracle {
   /// engine — both configured by `spd` (kernel choice, α/β, thread count,
   /// grain, and bucket width change only the work per pass — the
   /// dependency vectors are bit-identical across all settings, see
-  /// sp/bfs_spd.h and sp/delta_spd.h).
-  explicit DependencyOracle(const CsrGraph& graph, SpdOptions spd = SpdOptions());
+  /// sp/bfs_spd.h and sp/delta_spd.h). `memo` is the store to memoize in
+  /// (null: a private one, off until set_cache_capacity()); an oracle
+  /// joining a shared memo after its graph was edited passes the graph's
+  /// epoch as `graph_epoch`, so it reads the memo at the right epoch.
+  explicit DependencyOracle(const CsrGraph& graph,
+                            SpdOptions spd = SpdOptions(),
+                            std::shared_ptr<DependencyMemo> memo = nullptr,
+                            std::uint64_t graph_epoch = 0);
 
   /// Runs one pass from `source` and returns delta_{source.}(target).
   double Dependency(VertexId source, VertexId target);
 
   /// Runs one pass from `source` (or serves the memoized vector) and
-  /// returns the whole dependency vector delta_{source.}(.) (valid until
-  /// the next call).
+  /// returns the whole dependency vector delta_{source.}(.) (see the class
+  /// comment for how long it stays valid).
   const std::vector<double>& Dependencies(VertexId source);
 
   /// Runs one counted shortest-path pass from `source` and returns its DAG
@@ -90,20 +87,19 @@ class DependencyOracle {
   /// One pass from v.
   double EstimatorTerm(VertexId v, VertexId r);
 
-  /// Enables memoization of up to `max_entries` dependency vectors
-  /// (memory: max_entries * n doubles, plus n u32 hop distances per entry
-  /// on unweighted graphs or n doubles of weighted distances on weighted
-  /// ones; the cache is bulk-evicted when full). The distance vectors are
-  /// kept unconditionally — a +50-100% per-entry cost even for
-  /// never-mutated workloads — because the passes memoized *before* the
-  /// first edit are exactly the warm state ApplyGraphDelta exists to
-  /// preserve; retaining distances lazily would force that first edit to
-  /// drop everything. 0 (the default) disables caching and frees the
-  /// store.
+  /// Sets the memo's capacity to `max_entries` dependency vectors (memory:
+  /// DependencyMemo::EntryBytes each; the memo is bulk-evicted when full).
+  /// Each entry keeps the pass distances unconditionally — a +50-100%
+  /// per-entry cost even for never-mutated workloads — because the passes
+  /// memoized *before* the first edit are exactly the warm state
+  /// ApplyGraphDelta exists to preserve; retaining distances lazily would
+  /// force that first edit to drop everything. 0 (the default of a private
+  /// memo) disables caching and frees the store. On a shared memo this
+  /// sizes it for every oracle on it.
   void set_cache_capacity(std::size_t max_entries);
 
   /// Copies `other`'s memoized dependency vectors into this oracle's memo
-  /// (skipping sources already present) until this oracle's capacity is
+  /// (skipping sources already present) until the memo's capacity is
   /// reached. Counts no passes and no hits — it moves knowledge, not work.
   /// Used by the engine's sharded fan-out: per-worker oracles run races-free
   /// in isolation and their memos merge back on completion, so later
@@ -116,9 +112,10 @@ class DependencyOracle {
   /// the resolved edit batch `edits` (DynamicGraph::Apply output, with
   /// kRemoveEdge weights filled in) to the currently-bound graph — and
   /// advances the graph epoch. Memoized passes the edits provably do not
-  /// touch survive (see class comment); the SPD engines and accumulator
-  /// are rebuilt against the new graph. `new_graph` must outlive the
-  /// oracle like the construction graph did.
+  /// touch survive (DependencyMemo::ApplyGraphDelta, which a shared memo
+  /// runs once per epoch); the SPD engines and accumulator are rebuilt
+  /// against the new graph. `new_graph` must outlive the oracle like the
+  /// construction graph did.
   void ApplyGraphDelta(const CsrGraph& new_graph,
                        std::span<const GraphEdit> edits);
 
@@ -131,43 +128,40 @@ class DependencyOracle {
   /// setup passes; excluding cache hits, which cost no pass).
   std::uint64_t num_passes() const { return num_passes_; }
 
-  /// Number of Dependencies() calls served from the memo without a pass.
+  /// Number of this oracle's Dependencies() calls served from the memo
+  /// without a pass.
   std::uint64_t cache_hits() const { return cache_hits_; }
 
-  /// Number of ApplyGraphDelta rebinds so far (0 = construction graph).
+  /// The epoch of the bound graph: the construction epoch plus one per
+  /// ApplyGraphDelta rebind.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
-  /// Memoized passes currently held.
-  std::size_t cached_entries() const { return cache_.size(); }
+  /// Memoized passes currently held by the memo (all oracles' on a shared
+  /// one).
+  std::size_t cached_entries() const { return memo_->Stats().entries; }
 
-  /// Cumulative memo entries dropped by ApplyGraphDelta edits (the
-  /// selectivity readout: low relative to cached_entries() means most
-  /// passes survive each edit batch).
-  std::uint64_t invalidated_entries() const { return invalidated_entries_; }
+  /// Cumulative memo entries dropped by graph edits (the selectivity
+  /// readout: low relative to cached_entries() means most passes survive
+  /// each edit batch). On a shared memo, each epoch's edits count once.
+  std::uint64_t invalidated_entries() const {
+    return memo_->Stats().invalidated;
+  }
 
   const CsrGraph& graph() const { return *graph_; }
 
  private:
-  /// One memoized pass: the dependency vector plus the pass' distances —
-  /// hop distances on unweighted graphs, weighted distances on weighted
-  /// ones — kept for the edit-survival test.
-  struct CacheEntry {
-    std::vector<double> deps;
-    std::vector<std::uint32_t> hops;
-    std::vector<double> wdists;
-  };
-
   const CsrGraph* graph_;
   SpdOptions spd_;
   std::unique_ptr<BfsSpd> bfs_;
   std::unique_ptr<DeltaSpd> delta_;
   DependencyAccumulator accumulator_;
+  std::shared_ptr<DependencyMemo> memo_;
+  /// The memo entry Dependencies() last returned, held so the returned
+  /// reference outlives an eviction by another oracle on the memo.
+  DependencyMemo::EntryPtr returned_;
   std::uint64_t num_passes_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t graph_epoch_ = 0;
-  std::uint64_t invalidated_entries_ = 0;
-  std::size_t cache_capacity_ = 0;
-  std::unordered_map<VertexId, CacheEntry> cache_;
 };
 
 }  // namespace mhbc

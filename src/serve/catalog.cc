@@ -40,14 +40,33 @@ void ReadLease::Release() {
 // GraphEntry
 // ---------------------------------------------------------------------------
 
+namespace {
+
+GraphShape ShapeOf(const CsrGraph& graph) {
+  GraphShape shape;
+  shape.num_vertices = graph.num_vertices();
+  shape.num_edges = graph.num_edges();
+  shape.directed = graph.directed();
+  return shape;
+}
+
+}  // namespace
+
 GraphEntry::GraphEntry(std::string name, CsrGraph graph,
                        const EngineOptions& options, std::size_t sessions)
-    : name_(std::move(name)), graph_(std::move(graph)) {
+    : name_(std::move(name)),
+      graph_(std::move(graph)),
+      // Sized here only so `stats` shows the capacity before the first
+      // read; from then on the sessions' engines size it, all alike.
+      memo_(std::make_shared<DependencyMemo>(DependencyMemo::CapacityFor(
+          options.dependency_cache_bytes, graph_))),
+      shape_(ShapeOf(graph_)) {
   if (sessions == 0) sessions = 1;
   sessions_.reserve(sessions);
   free_.reserve(sessions);
   for (std::size_t i = 0; i < sessions; ++i) {
-    sessions_.push_back(std::make_unique<BetweennessEngine>(graph_, options));
+    sessions_.push_back(
+        std::make_unique<BetweennessEngine>(graph_, options, memo_));
     free_.push_back(sessions_.back().get());
   }
 }
@@ -71,7 +90,7 @@ void GraphEntry::ReturnSession(BetweennessEngine* engine) {
   cv_.notify_all();
 }
 
-Status GraphEntry::Mutate(const GraphDelta& delta) {
+StatusOr<MutateResult> GraphEntry::Mutate(const GraphDelta& delta) {
   std::unique_lock<std::mutex> lock(mu_);
   ++writers_waiting_;
   cv_.wait(lock, [this] {
@@ -103,31 +122,34 @@ Status GraphEntry::Mutate(const GraphDelta& delta) {
   }
 
   lock.lock();
-  if (applied.ok()) {
-    const std::uint64_t engine_epoch = sessions_.front()->graph_epoch();
-    if (engine_epoch != epoch_) {  // empty delta keeps the epoch
-      epoch_ = engine_epoch;
-      ++mutations_applied_;
-    }
+  // Still exclusive until writer_active_ drops, so the sessions' graph can
+  // be read.
+  const std::uint64_t engine_epoch = sessions_.front()->graph_epoch();
+  if (applied.ok() && engine_epoch != epoch_) {  // empty delta keeps it
+    epoch_ = engine_epoch;
+    shape_ = ShapeOf(sessions_.front()->graph());
+    ++mutations_applied_;
   }
+  const MutateResult installed{epoch_, shape_};
   writer_active_ = false;
   lock.unlock();
   cv_.notify_all();
-  return applied;
+  if (!applied.ok()) return applied;
+  return installed;
 }
 
 GraphEntryStats GraphEntry::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   GraphEntryStats stats;
+  // The memo has its own lock; never read it through a session's engine,
+  // which a reader or the writer may hold.
+  stats.memo = memo_->Stats();
+  std::lock_guard<std::mutex> lock(mu_);
   stats.epoch = epoch_;
   stats.sessions = sessions_.size();
   stats.sessions_free = free_.size();
   stats.reads_served = reads_served_;
   stats.mutations_applied = mutations_applied_;
-  const CsrGraph& current = sessions_.front()->graph();
-  stats.num_vertices = current.num_vertices();
-  stats.num_edges = current.num_edges();
-  stats.directed = current.directed();
+  stats.shape = shape_;
   return stats;
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "centrality/engine.h"
+#include "exact/dependency_memo.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
 #include "util/status.h"
@@ -21,14 +22,19 @@
 /// of concurrency is one engine per in-flight reader: each catalog entry
 /// owns a fixed pool of engines ("sessions") built on the same graph with
 /// the same options, and a reader checks one out through an RAII
-/// ReadLease. Warm sessions are the point of the pool — each engine's
-/// dependency memo and whole-graph products persist across requests, so
-/// repeat queries amortize exactly as the engine API promises.
+/// ReadLease. Warm sessions are the point of the pool: each engine's
+/// whole-graph products persist across requests, and all sessions share
+/// one dependency memo (exact/dependency_memo.h), sized from
+/// EngineOptions::dependency_cache_bytes per graph, not per session. A
+/// pass one session runs serves every session after it, and the shared
+/// memo's memory does not grow with the session count (engine shards,
+/// num_threads > 1, keep private memos of their own).
 ///
 /// Mutation installs atomically under a writer-preferred guard: Mutate()
 /// blocks new readers, drains the in-flight ones (waits until every
 /// session is back in the pool), applies the *same* GraphDelta to every
-/// pooled engine, and advances the entry epoch. Because the engine's
+/// pooled engine (the shared memo filters the edits once, when the first
+/// session applies them), and advances the entry epoch. Because the engine's
 /// ApplyDelta contract makes post-edit reports bit-identical to a cold
 /// engine on the post-edit graph, every session leaves the critical
 /// section bit-equivalent: a reader can never observe a half-installed
@@ -75,6 +81,22 @@ class ReadLease {
   std::uint64_t epoch_ = 0;
 };
 
+/// The size of a served graph at one epoch.
+struct GraphShape {
+  VertexId num_vertices = 0;
+  /// Undirected pairs, or arcs when `directed`.
+  std::uint64_t num_edges = 0;
+  /// Directedness of the served graph (fixed at registration).
+  bool directed = false;
+};
+
+/// What one Mutate installed: the entry epoch after it and the served
+/// graph's shape at that epoch.
+struct MutateResult {
+  std::uint64_t epoch = 0;
+  GraphShape shape;
+};
+
 /// Point-in-time counters for the `stats` method and tests.
 struct GraphEntryStats {
   std::uint64_t epoch = 0;
@@ -82,11 +104,10 @@ struct GraphEntryStats {
   std::size_t sessions_free = 0;
   std::uint64_t reads_served = 0;
   std::uint64_t mutations_applied = 0;
-  VertexId num_vertices = 0;
-  /// Undirected pairs, or arcs when `directed`.
-  std::uint64_t num_edges = 0;
-  /// Directedness of the served graph (fixed at registration).
-  bool directed = false;
+  /// The served graph at `epoch`.
+  GraphShape shape;
+  /// The graph's one dependency memo, shared by its sessions.
+  DependencyMemoStats memo;
 };
 
 /// One named graph: the owned base CSR plus its session pool and epoch
@@ -109,12 +130,15 @@ class GraphEntry {
   ReadLease AcquireRead();
 
   /// Drains readers, applies `delta` to every pooled session, advances
-  /// the epoch. Validation runs against the first session (whose
-  /// ApplyDelta is atomic), so an invalid delta returns InvalidArgument
-  /// with every session untouched and the epoch unchanged. An empty
-  /// delta is a successful no-op that keeps the epoch.
-  Status Mutate(const GraphDelta& delta);
+  /// the epoch, and returns the epoch and graph shape it installed.
+  /// Validation runs against the first session (whose ApplyDelta is
+  /// atomic), so an invalid delta returns InvalidArgument with every
+  /// session untouched and the epoch unchanged. An empty delta is a
+  /// successful no-op that keeps the epoch.
+  StatusOr<MutateResult> Mutate(const GraphDelta& delta);
 
+  /// Safe to call at any time, also while a mutate runs: it reads the
+  /// entry's own counters and the memo's, never a session's engine.
   GraphEntryStats Stats() const;
 
  private:
@@ -123,6 +147,8 @@ class GraphEntry {
 
   const std::string name_;
   CsrGraph graph_;  ///< construction base; engines own post-edit state
+  /// The one dependency memo every session's engine is constructed on.
+  const std::shared_ptr<DependencyMemo> memo_;
   std::vector<std::unique_ptr<BetweennessEngine>> sessions_;
 
   mutable std::mutex mu_;
@@ -131,6 +157,7 @@ class GraphEntry {
   std::size_t writers_waiting_ = 0;
   bool writer_active_ = false;
   std::uint64_t epoch_ = 0;
+  GraphShape shape_;  ///< of the graph at epoch_, written with it
   std::uint64_t reads_served_ = 0;
   std::uint64_t mutations_applied_ = 0;
 };

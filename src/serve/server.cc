@@ -332,17 +332,21 @@ std::string Server::ExecuteMutate(Job& job, GraphEntry& entry) {
     return ErrorFor(request, ServeErrorClass::kField,
                     delta.status().message());
   }
-  const Status applied = entry.Mutate(delta.value());
+  const StatusOr<MutateResult> applied = entry.Mutate(delta.value());
   if (!applied.ok()) {
-    return ErrorFor(request, ClassifyStatus(applied), applied.message());
+    return ErrorFor(request, ClassifyStatus(applied.status()),
+                    applied.status().message());
   }
-  const GraphEntryStats stats = entry.Stats();
+  // The epoch and shape this mutate installed, not the entry's current
+  // ones: another worker's mutate may have installed the next epoch since.
+  const MutateResult& installed = applied.value();
   std::ostringstream result;
   result << "{\"applied_ops\": " << delta.value().size()
-         << ", \"num_vertices\": " << stats.num_vertices
-         << ", \"num_edges\": " << stats.num_edges
-         << ", \"directed\": " << (stats.directed ? "true" : "false") << "}";
-  return FormatOkResponse(request, stats.epoch,
+         << ", \"num_vertices\": " << installed.shape.num_vertices
+         << ", \"num_edges\": " << installed.shape.num_edges
+         << ", \"directed\": "
+         << (installed.shape.directed ? "true" : "false") << "}";
+  return FormatOkResponse(request, installed.epoch,
                           job.timer.ElapsedSeconds() * 1000.0, result.str());
 }
 
@@ -368,9 +372,14 @@ std::string Server::ExecuteStats(const ServeRequest& request) {
            << ", \"sessions_free\": " << g.sessions_free
            << ", \"reads_served\": " << g.reads_served
            << ", \"mutations_applied\": " << g.mutations_applied
-           << ", \"num_vertices\": " << g.num_vertices
-           << ", \"num_edges\": " << g.num_edges
-           << ", \"directed\": " << (g.directed ? "true" : "false") << "}";
+           << ", \"num_vertices\": " << g.shape.num_vertices
+           << ", \"num_edges\": " << g.shape.num_edges
+           << ", \"directed\": " << (g.shape.directed ? "true" : "false")
+           << ", \"memo_entries\": " << g.memo.entries
+           << ", \"memo_capacity\": " << g.memo.capacity
+           << ", \"memo_hits\": " << g.memo.hits
+           << ", \"memo_inserts\": " << g.memo.inserts
+           << ", \"memo_invalidated\": " << g.memo.invalidated << "}";
   }
   result << "], \"queue_depth\": " << server.queue_depth
          << ", \"queue_capacity\": " << options_.queue_capacity

@@ -1,0 +1,286 @@
+// The dependency memo shared by several oracles (exact/dependency_memo.h)
+// and by the sessions of a served graph (serve/catalog.h). Every vector an
+// oracle returns must equal a fresh pass bit for bit and stay alive until
+// that oracle's next call, whatever another oracle evicts (ASan catches a
+// dangling reference); concurrent oracles must be race-free (this suite
+// runs in the TSan CI job); one session must reuse another's passes; and a
+// mutate must filter the shared memo once, as one private oracle would.
+
+#include "exact/dependency_memo.h"
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
+
+#include "centrality/engine.h"
+#include "datasets/registry.h"
+#include "exact/dependency_oracle.h"
+#include "graph/dynamic_graph.h"
+#include "graph/generators.h"
+#include "serve/catalog.h"
+#include "sp/bfs_spd.h"
+#include "sp/delta_spd.h"
+#include "sp/dependency.h"
+#include "util/thread_pool.h"
+
+namespace mhbc {
+namespace {
+
+/// delta_{source.}(.) from a pass engine and accumulator of its own.
+std::vector<double> FreshDependencies(const CsrGraph& graph, VertexId source) {
+  DependencyAccumulator accumulator(graph);
+  if (graph.weighted()) {
+    DeltaSpd delta(graph);
+    delta.Run(source);
+    return accumulator.Accumulate(delta);
+  }
+  BfsSpd bfs(graph);
+  bfs.Run(source);
+  return accumulator.Accumulate(bfs);
+}
+
+CsrGraph WeightedGrid() {
+  return AssignUniformWeights(MakeGrid(6, 6), 1.0, 2.0, 0x9e1d);
+}
+
+void ExpectSameStatistics(const EstimateReport& got,
+                          const EstimateReport& want) {
+  EXPECT_EQ(got.vertex, want.vertex);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.samples_used, want.samples_used);
+  EXPECT_EQ(got.acceptance_rate, want.acceptance_rate);
+  EXPECT_EQ(got.ess, want.ess);
+  EXPECT_EQ(got.std_error, want.std_error);
+  EXPECT_EQ(got.ci_half_width, want.ci_half_width);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+EstimateRequest MhRequest(std::uint64_t samples, std::uint64_t seed) {
+  EstimateRequest request;
+  request.samples = samples;
+  request.seed = seed;
+  return request;
+}
+
+// (a) Two oracles on one memo of capacity 1: each insert evicts the other
+// oracle's entry, yet every vector an oracle returned stays readable — and
+// equal to a fresh pass — until that oracle's next call.
+TEST(DependencyMemoTest, ReturnedVectorOutlivesEvictionByAnotherOracle) {
+  for (const CsrGraph& graph : {MakeBarabasiAlbert(120, 3, 5), WeightedGrid()}) {
+    auto memo = std::make_shared<DependencyMemo>(/*capacity=*/1);
+    DependencyOracle first(graph, SpdOptions(), memo);
+    DependencyOracle second(graph, SpdOptions(), memo);
+    const std::vector<VertexId> sources = {3, 17, 3, 17, 29, 3};
+    for (std::size_t i = 0; i + 1 < sources.size(); ++i) {
+      const std::vector<double>& mine = first.Dependencies(sources[i]);
+      // Evicts `mine` from the memo (capacity 1) or serves it as a hit.
+      const std::vector<double>& theirs = second.Dependencies(sources[i + 1]);
+      EXPECT_EQ(mine, FreshDependencies(graph, sources[i])) << i;
+      EXPECT_EQ(theirs, FreshDependencies(graph, sources[i + 1])) << i;
+    }
+    EXPECT_EQ(first.num_passes() + second.num_passes() +
+                  first.cache_hits() + second.cache_hits(),
+              2 * (sources.size() - 1));
+    EXPECT_LE(memo->Stats().entries, 1u);
+  }
+}
+
+// (b) The same from two threads on overlapping sources, each thread on its
+// own oracle, with a memo small enough that bulk evictions keep racing the
+// lookups.
+TEST(DependencyMemoTest, ConcurrentOraclesMatchFreshPasses) {
+  for (const CsrGraph& graph : {MakeBarabasiAlbert(200, 3, 9), WeightedGrid()}) {
+    std::vector<std::vector<double>> fresh;
+    for (VertexId s = 0; s < graph.num_vertices(); ++s) {
+      fresh.push_back(FreshDependencies(graph, s));
+    }
+    auto memo = std::make_shared<DependencyMemo>(/*capacity=*/4);
+    ThreadPool pool(2);
+    std::vector<std::unique_ptr<DependencyOracle>> oracles;
+    for (unsigned w = 0; w < pool.num_threads(); ++w) {
+      oracles.push_back(
+          std::make_unique<DependencyOracle>(graph, SpdOptions(), memo));
+    }
+    const VertexId n = graph.num_vertices();
+    const std::vector<std::size_t> mismatches = ParallelMap<std::size_t>(
+        &pool, 8, [&](unsigned worker, std::size_t item) {
+          std::size_t wrong = 0;
+          // Items share a window of 12 sources, so the oracles keep hitting
+          // and evicting each other's entries.
+          for (VertexId step = 0; step < 48; ++step) {
+            const VertexId source =
+                static_cast<VertexId>((item * 5 + step * 7) % 12) % n;
+            if (oracles[worker]->Dependencies(source) != fresh[source]) {
+              ++wrong;
+            }
+          }
+          return wrong;
+        });
+    for (std::size_t item = 0; item < mismatches.size(); ++item) {
+      EXPECT_EQ(mismatches[item], 0u) << "item " << item;
+    }
+    const DependencyMemoStats stats = memo->Stats();
+    EXPECT_LE(stats.entries, 4u);
+    EXPECT_GT(stats.hits, 0u);
+  }
+}
+
+// An oracle behind the memo's epoch is neither served nor stored; one that
+// joins at the memo's epoch reads the entries already there.
+TEST(DependencyMemoTest, OraclesReadTheMemoOnlyAtItsEpoch) {
+  const CsrGraph start = MakeGrid(5, 5);
+  DynamicGraph dynamic(start);
+  GraphDelta delta;
+  delta.RemoveEdge(0, 1);
+  std::vector<GraphEdit> resolved;
+  ASSERT_TRUE(dynamic.Apply(delta, &resolved).ok());
+  const CsrGraph& next = dynamic.Csr();
+
+  auto memo = std::make_shared<DependencyMemo>(/*capacity=*/25);
+  DependencyOracle ahead(start, SpdOptions(), memo);
+  DependencyOracle behind(start, SpdOptions(), memo);
+  (void)ahead.Dependencies(12);
+  ahead.ApplyGraphDelta(next, resolved);  // the memo moves to epoch 1
+  (void)ahead.Dependencies(6);
+
+  // `behind` still serves epoch 0: its answers are its own passes.
+  EXPECT_EQ(behind.Dependencies(6), FreshDependencies(start, 6));
+  EXPECT_EQ(behind.cache_hits(), 0u);
+  const std::uint64_t inserts = memo->Stats().inserts;
+  (void)behind.Dependencies(3);
+  EXPECT_EQ(memo->Stats().inserts, inserts);
+
+  // An oracle built on the post-edit graph at epoch 1 hits.
+  DependencyOracle joined(next, SpdOptions(), memo, /*graph_epoch=*/1);
+  EXPECT_EQ(joined.Dependencies(6), FreshDependencies(next, 6));
+  EXPECT_EQ(joined.cache_hits(), 1u);
+  EXPECT_EQ(joined.num_passes(), 0u);
+}
+
+// (c) In a 2-session catalog entry, session 1 answers the request session 0
+// just served without a single pass, with the same statistics.
+TEST(DependencyMemoTest, SecondSessionServesFirstSessionsPasses) {
+  auto graph = MakeDataset("caveman-36");
+  ASSERT_TRUE(graph.ok());
+  serve::GraphEntry entry("g", graph.value(), EngineOptions(),
+                          /*sessions=*/2);
+  serve::ReadLease first = entry.AcquireRead();
+  serve::ReadLease second = entry.AcquireRead();
+  ASSERT_NE(&first.engine(), &second.engine());
+  const std::vector<VertexId> targets = {0, 8, 17};
+  const EstimateRequest request = MhRequest(200, 41);
+  auto served = first.engine().EstimateMany(targets, request);
+  auto again = second.engine().EstimateMany(targets, request);
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(again.ok());
+  EXPECT_GT(served.value().front().sp_passes, 0u);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(again.value()[i].sp_passes, 0u) << "target " << targets[i];
+    EXPECT_TRUE(again.value()[i].cache_hit);
+    ExpectSameStatistics(again.value()[i], served.value()[i]);
+  }
+}
+
+// Sharded fan-outs keep private shard memos, but merge them into the shared
+// memo afterwards and pre-warm from it, so the second session's shards find
+// the first session's passes.
+TEST(DependencyMemoTest, ShardedSessionsShareThroughTheMemo) {
+  auto graph = MakeDataset("caveman-36");
+  ASSERT_TRUE(graph.ok());
+  EngineOptions options;
+  options.num_threads = 2;
+  serve::GraphEntry entry("g", graph.value(), options, /*sessions=*/2);
+  serve::ReadLease first = entry.AcquireRead();
+  serve::ReadLease second = entry.AcquireRead();
+  const std::vector<VertexId> targets = {0, 8, 17, 30};
+  const EstimateRequest request = MhRequest(150, 12);
+  BetweennessEngine cold(graph.value());
+  auto want = cold.EstimateMany(targets, request);
+  auto served = first.engine().EstimateMany(targets, request);
+  auto again = second.engine().EstimateMany(targets, request);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(again.ok());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    ExpectSameStatistics(served.value()[i], want.value()[i]);
+    ExpectSameStatistics(again.value()[i], want.value()[i]);
+    EXPECT_EQ(again.value()[i].sp_passes, 0u) << "target " << targets[i];
+  }
+}
+
+// (d) After a mutate, both sessions answer as a cold engine on the
+// post-edit graph, and the shared memo dropped exactly the entries one
+// private oracle holding the same sources drops for that delta: the edits
+// were filtered once, not once per session.
+void CheckMutateFiltersOnce(const CsrGraph& base, const GraphDelta& delta,
+                            const std::vector<VertexId>& targets) {
+  const EngineOptions options;
+  serve::GraphEntry entry("g", base, options, /*sessions=*/2);
+  {
+    // Warm both sessions until the memo holds every source.
+    serve::ReadLease first = entry.AcquireRead();
+    serve::ReadLease second = entry.AcquireRead();
+    ASSERT_TRUE(first.engine().EstimateMany(targets, MhRequest(2000, 1)).ok());
+    ASSERT_TRUE(second.engine().EstimateMany(targets, MhRequest(2000, 2)).ok());
+  }
+  const serve::GraphEntryStats warm = entry.Stats();
+  ASSERT_EQ(warm.memo.entries, base.num_vertices());
+  EXPECT_EQ(warm.memo.invalidated, 0u);
+
+  DependencyOracle private_oracle(base);
+  private_oracle.set_cache_capacity(base.num_vertices());
+  for (VertexId s = 0; s < base.num_vertices(); ++s) {
+    (void)private_oracle.Dependencies(s);
+  }
+  DynamicGraph dynamic(base);
+  std::vector<GraphEdit> resolved;
+  ASSERT_TRUE(dynamic.Apply(delta, &resolved).ok());
+  const CsrGraph& next = dynamic.Csr();
+  private_oracle.ApplyGraphDelta(next, resolved);
+
+  const auto installed = entry.Mutate(delta);
+  ASSERT_TRUE(installed.ok());
+  EXPECT_EQ(installed.value().epoch, 1u);
+  EXPECT_EQ(installed.value().shape.num_vertices, next.num_vertices());
+  EXPECT_EQ(installed.value().shape.num_edges, next.num_edges());
+  const serve::GraphEntryStats mutated = entry.Stats();
+  EXPECT_GT(private_oracle.invalidated_entries(), 0u);
+  EXPECT_EQ(mutated.memo.invalidated, private_oracle.invalidated_entries());
+  EXPECT_EQ(mutated.memo.entries, private_oracle.cached_entries());
+  EXPECT_LT(mutated.memo.entries, warm.memo.entries);
+
+  BetweennessEngine cold(next, options);
+  const EstimateRequest request = MhRequest(300, 77);
+  auto want = cold.EstimateMany(targets, request);
+  ASSERT_TRUE(want.ok());
+  serve::ReadLease first = entry.AcquireRead();
+  serve::ReadLease second = entry.AcquireRead();
+  for (BetweennessEngine* session : {&first.engine(), &second.engine()}) {
+    auto got = session->EstimateMany(targets, request);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value().size(), targets.size());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      ExpectSameStatistics(got.value()[i], want.value()[i]);
+    }
+  }
+}
+
+TEST(DependencyMemoTest, MutateFiltersTheSharedMemoOnce) {
+  auto caveman = MakeDataset("caveman-36");
+  ASSERT_TRUE(caveman.ok());
+  CheckMutateFiltersOnce(caveman.value(),
+                         MakeRandomEditScript(caveman.value(), 3, 0xd17a),
+                         {0, 8, 17});
+}
+
+TEST(DependencyMemoTest, MutateFiltersTheSharedWeightedMemoOnce) {
+  const CsrGraph grid = WeightedGrid();
+  GraphDelta delta;
+  delta.RemoveEdge(14, 15);
+  delta.AddEdge(0, 7, 1.5);
+  CheckMutateFiltersOnce(grid, delta, {0, 14, 21});
+}
+
+}  // namespace
+}  // namespace mhbc

@@ -7,6 +7,8 @@
 // %.17g wire round-trip. A reader racing a mutation must therefore see
 // either the old epoch's exact answer or the new one's, never a torn mix.
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -235,6 +237,145 @@ TEST(ServeConcurrencyTest, WriterDrainsReadersAndReadersNeverSeeTornPool) {
   });
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(entry.Stats().epoch, deltas.size());
+}
+
+/// The mutate request line for `delta`.
+std::string MutateLine(std::uint64_t id, const GraphDelta& delta) {
+  return "{\"id\": " + std::to_string(id) +
+         ", \"method\": \"mutate\", \"graph\": \"caveman-36\", "
+         "\"edits\": \"" +
+         DeltaToText(delta) + "\"}";
+}
+
+TEST(ServeConcurrencyTest, StatsPolledDuringMutateChainMatchTheirEpoch) {
+  // `stats` runs inline on the caller's thread while a worker's mutate
+  // edits the sessions: every snapshot must pair an epoch with that
+  // epoch's graph shape, and reading it must race nothing (TSan).
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  constexpr std::size_t kChain = 100;
+  std::vector<GraphDelta> deltas;
+  std::vector<std::pair<VertexId, std::uint64_t>> shape_at_epoch;
+  {
+    DynamicGraph dyn(base.value());
+    shape_at_epoch.emplace_back(dyn.Csr().num_vertices(),
+                                dyn.Csr().num_edges());
+    for (std::size_t i = 0; i < kChain; ++i) {
+      const GraphDelta delta = MakeRandomEditScript(dyn.Csr(), 2, 0x57a7 + i);
+      ASSERT_TRUE(dyn.Apply(delta).ok());
+      deltas.push_back(delta);
+      shape_at_epoch.emplace_back(dyn.Csr().num_vertices(),
+                                  dyn.Csr().num_edges());
+    }
+  }
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddGraph("caveman-36", base.value(), EngineOptions(),
+                            /*sessions=*/2)
+                  .ok());
+  ServerOptions server_options;
+  server_options.workers = 2;
+  Server server(&catalog, server_options);
+
+  std::atomic<bool> chain_done{false};
+  std::size_t polls = 0;
+  std::uint64_t last_epoch = 0;
+  std::thread poller([&] {
+    while (!chain_done.load() || polls == 0) {
+      const std::string line =
+          server.Call(R"({"method": "stats", "graph": "caveman-36"})");
+      const auto response = ParseServeResponse(line);
+      ASSERT_TRUE(response.ok()) << line;
+      const JsonValue& graph =
+          response.value().body.Find("result")->Find("graphs")->array.at(0);
+      const auto epoch =
+          static_cast<std::uint64_t>(graph.Find("epoch")->number_value);
+      ASSERT_LE(epoch, kChain);
+      EXPECT_GE(epoch, last_epoch);
+      last_epoch = epoch;
+      EXPECT_EQ(graph.Find("num_vertices")->number_value,
+                static_cast<double>(shape_at_epoch[epoch].first))
+          << "epoch " << epoch;
+      EXPECT_EQ(graph.Find("num_edges")->number_value,
+                static_cast<double>(shape_at_epoch[epoch].second))
+          << "epoch " << epoch;
+      ++polls;
+    }
+  });
+  std::thread reader([&] {
+    // Keeps the shared memo busy between mutates.
+    for (std::uint64_t seed = 1; !chain_done.load(); ++seed) {
+      const auto response = ParseServeResponse(
+          server.Call(EstimateLine(/*id=*/seed, seed)));
+      ASSERT_TRUE(response.ok());
+    }
+  });
+  for (std::size_t i = 0; i < kChain; ++i) {
+    const auto response =
+        ParseServeResponse(server.Call(MutateLine(900 + i, deltas[i])));
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response.value().ok);
+    EXPECT_EQ(response.value().epoch, i + 1);
+  }
+  chain_done.store(true);
+  poller.join();
+  reader.join();
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(catalog.Find("caveman-36")->Stats().epoch, kChain);
+}
+
+TEST(ServeConcurrencyTest, ConcurrentMutatesReportTheEpochTheyInstalled) {
+  // k mutates sent at once, each adding one distinct absent edge (so any
+  // order is valid): the responses must carry epochs exactly 1..k, each
+  // with the edge count of the graph that mutate installed.
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  const CsrGraph& graph = base.value();
+  constexpr std::size_t kMutates = 8;
+  std::vector<GraphDelta> deltas;
+  for (VertexId u = 0; u < graph.num_vertices() && deltas.size() < kMutates;
+       ++u) {
+    for (VertexId v = u + 1; v < graph.num_vertices(); ++v) {
+      if (!graph.HasEdge(u, v)) {
+        deltas.emplace_back();
+        deltas.back().AddEdge(u, v);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(deltas.size(), kMutates);
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddGraph("caveman-36", graph, EngineOptions(),
+                            /*sessions=*/2)
+                  .ok());
+  ServerOptions server_options;
+  server_options.workers = 2;
+  Server server(&catalog, server_options);
+
+  std::vector<std::string> responses(kMutates);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < kMutates; ++i) {
+    clients.emplace_back([&, i] {
+      responses[i] = server.Call(MutateLine(i, deltas[i]));
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  std::vector<std::uint64_t> epochs;
+  for (const std::string& line : responses) {
+    const auto response = ParseServeResponse(line);
+    ASSERT_TRUE(response.ok()) << line;
+    ASSERT_TRUE(response.value().ok) << line;
+    const std::uint64_t epoch = response.value().epoch;
+    epochs.push_back(epoch);
+    EXPECT_EQ(response.value().body.Find("result")->Find("num_edges")
+                  ->number_value,
+              static_cast<double>(graph.num_edges() + epoch))
+        << line;
+  }
+  std::sort(epochs.begin(), epochs.end());
+  for (std::size_t i = 0; i < kMutates; ++i) EXPECT_EQ(epochs[i], i + 1);
 }
 
 }  // namespace
