@@ -2,10 +2,11 @@
 // in-process core under concurrent estimate traffic with interleaved
 // mutations.
 //
-// PR 8 added the serving layer (src/serve/): a GraphCatalog of warm
-// engine-session pools behind a bounded worker pool, with a
-// writer-preferred epoch scheme so ApplyDelta mutations drain in-flight
-// readers and install atomically. This harness drives that machine the
+// The serving layer (src/serve/) is a GraphCatalog of warm engine-session
+// pools behind a bounded worker pool. A mutation publishes the next graph
+// epoch (one graph and one dependency memo) with a pointer swap, without
+// waiting for reads in flight; each read runs on the epoch it leased and
+// names it in its response. This harness drives that machine the
 // way a daemon would be driven — N client threads issuing estimate
 // requests over the NDJSON protocol (Server::Call, the same entry point
 // the TCP loop uses), one mutator thread streaming a pre-generated delta

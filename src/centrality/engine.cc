@@ -135,7 +135,7 @@ std::uint64_t ReportBatchSize(std::uint64_t samples, std::uint64_t b) {
 BetweennessEngine::BetweennessEngine(const CsrGraph& graph,
                                      EngineOptions options,
                                      std::shared_ptr<DependencyMemo> memo)
-    : graph_(&graph), options_(options), shared_memo_(std::move(memo)) {}
+    : graph_(&graph), options_(options), memo_(std::move(memo)) {}
 
 BetweennessEngine::~BetweennessEngine() = default;
 
@@ -143,8 +143,8 @@ BetweennessEngine::~BetweennessEngine() = default;
 
 DependencyOracle* BetweennessEngine::oracle() {
   if (!oracle_) {
-    oracle_ = std::make_unique<DependencyOracle>(*graph_, IntraPassSpd(),
-                                                 shared_memo_, graph_epoch_);
+    oracle_ =
+        std::make_unique<DependencyOracle>(*graph_, IntraPassSpd(), memo_);
     oracle_->set_cache_capacity(DependencyMemo::CapacityFor(
         options_.dependency_cache_bytes, *graph_));
   }
@@ -624,31 +624,50 @@ StatusOr<std::vector<TopKEntry>> BetweennessEngine::TopK(std::uint32_t k,
 
 Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   if (delta.empty()) return Status::Ok();
-  if (!dynamic_) {
-    // First mutation: take over graph ownership. The base starts as a
-    // zero-copy *view* of the construction graph — no O(n+m) copy, and
-    // nothing heavy retained if this first delta is rejected. The view
-    // never dangles: the construction graph outlives the engine per the
-    // constructor contract, and the first successful Apply is compacted
-    // into owned storage immediately below (Csr()).
-    dynamic_ = std::make_unique<DynamicGraph>(CsrGraph::WrapExternal(
-        graph_->raw_offsets(), graph_->raw_adjacency(),
-        graph_->raw_weights(), graph_->name()));
-  }
   std::vector<GraphEdit> resolved;
-  MHBC_RETURN_IF_ERROR(dynamic_->Apply(delta, &resolved));
+  StatusOr<CsrGraph> edited =
+      DynamicGraph::ApplyToCopy(*graph_, delta, &resolved);
+  if (!edited.ok()) return edited.status();  // the engine is untouched
+  auto next = std::make_unique<const CsrGraph>(std::move(edited).value());
+  // The memo moves to the post-edit graph's memo, carried from the oracle's
+  // (or, before the first query, the one the engine holds). The carry reads
+  // the pre-edit graph, which stays alive until BindEpoch releases it.
+  std::shared_ptr<DependencyMemo> memo = oracle_ ? oracle_->memo() : memo_;
+  if (memo) {
+    memo = memo->Carry(*next, resolved, options_.spd.tie_epsilon,
+                       DependencyMemo::MinWeightsOf(*graph_));
+  }
+  BindEpoch(*next, std::move(memo), graph_epoch_ + 1);
+  owned_graph_ = std::move(next);
+  return Status::Ok();
+}
 
-  // Drop every piece of state bound to the pre-edit graph *before*
-  // materializing the post-edit CSR — compaction frees the old arrays.
-  // Samplers and shards rebuild lazily on next use. Whole-graph products
-  // (exact scores, RK credit vector, diameter estimate, joint-space
-  // result) are aggregates over all vertex pairs, which any edge edit —
-  // or, for a vertex append, the n-dependent normalization — touches, so
-  // they always reset; the dependency memo is the selectively-surviving
-  // part, handled by the oracle below.
+void BetweennessEngine::BindEpoch(const CsrGraph& graph,
+                                  std::shared_ptr<DependencyMemo> memo,
+                                  std::uint64_t epoch) {
+  ResetGraphState();
+  graph_ = &graph;
+  memo_ = std::move(memo);
+  graph_epoch_ = epoch;
+  owned_graph_.reset();
+}
+
+void BetweennessEngine::ResetGraphState() {
+  // Samplers and shards rebuild lazily on next use, and so does the
+  // oracle, on the memo bound with the graph. Whole-graph products (exact
+  // scores, RK credit vector, diameter estimate, joint-space result) are
+  // aggregates over all vertex pairs, which any edge edit — or, for a
+  // vertex append, the n-dependent normalization — touches, so they always
+  // reset; the dependency memo is the selectively-surviving part, carried
+  // by whoever built the new graph. Retired oracles and shards keep their
+  // work in the counters, which never go back.
   samplers_.clear();
   chain_.reset();
-  // Retired shards keep their work in the counters, which never go back.
+  if (oracle_) {
+    extra_passes_ += oracle_->num_passes();
+    retired_cache_hits_ += oracle_->cache_hits();
+    oracle_.reset();
+  }
   for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
     extra_passes_ += shard->total_sp_passes();
     retired_cache_hits_ += shard->dependency_cache_hits();
@@ -659,16 +678,6 @@ Status BetweennessEngine::ApplyDelta(const GraphDelta& delta) {
   vertex_diameter_.reset();
   rk_credit_.reset();
   joint_cache_.reset();
-
-  const CsrGraph& next = dynamic_->Csr();  // materializes the edits
-  if (oracle_) {
-    oracle_->ApplyGraphDelta(next, resolved);
-    oracle_->set_cache_capacity(DependencyMemo::CapacityFor(
-        options_.dependency_cache_bytes, next));
-  }
-  graph_ = &next;
-  ++graph_epoch_;
-  return Status::Ok();
 }
 
 }  // namespace mhbc

@@ -50,11 +50,11 @@
 ///
 /// One memo. The oracle memoizes in a DependencyMemo
 /// (exact/dependency_memo.h), private to the engine by default. An engine
-/// constructed on a shared memo reads and fills that one instead: the
-/// serving catalog builds one memo per graph and every session's engine
-/// on it (serve/catalog.h), so a pass one session runs is a hit for the
-/// others. Either way the engine sizes its memo from
-/// EngineOptions::dependency_cache_bytes.
+/// constructed or bound on a shared memo reads and fills that one instead:
+/// the serving catalog publishes one memo per graph epoch and binds every
+/// session's engine to it (serve/catalog.h, BindEpoch), so a pass one
+/// session runs is a hit for the others. Either way the engine sizes its
+/// memo from EngineOptions::dependency_cache_bytes.
 /// The memo is thread-safe and keeps a returned vector alive until its
 /// oracle's next call, so sessions on different threads may share it while
 /// each engine stays single-threaded. Shards always keep private memos.
@@ -131,27 +131,31 @@
 /// engine still require external synchronization (queries mutate shared
 /// caches). For concurrent serving either put a mutex in front of one
 /// engine or shard one engine per server worker — engines share nothing
-/// but the graph and, when constructed on one, the thread-safe memo.
+/// but the graph and, when constructed or bound on one, the thread-safe
+/// memo.
 ///
-/// Graph mutation. ApplyDelta(delta) edits the served graph in place
-/// (through an internal DynamicGraph overlay; see graph/dynamic_graph.h)
-/// and advances graph_epoch(). The determinism contract extends to
-/// mutation: after ApplyDelta, every statistical report field is
-/// bit-identical to what a cold engine constructed on the post-edit graph
-/// (same options) would return for the same request — at every thread
-/// count and SPD kernel setting. Samplers, shards and whole-graph products
-/// (exact scores, the RK credit vector, the diameter probe, the joint-space
-/// result) are rebuilt on next use; the dependency memo survives
-/// *selectively* — only cached passes whose BFS trees an edit touches are
-/// dropped (DependencyMemo::ApplyGraphDelta), which is what makes a small
-/// edit batch cheaper to re-estimate than a cold rebuild. A shared memo
-/// is filtered once per edit batch: engines sharing it must apply the
-/// same deltas in the same order, and the first to apply one does the
-/// filtering for all. The work counters
-/// (total_sp_passes, dependency_cache_hits) never go backwards across an
-/// edit. After the first
-/// ApplyDelta, graph() returns the engine-owned post-edit graph; the
-/// construction graph is no longer referenced.
+/// Graph mutation. ApplyDelta(delta) builds the post-edit graph as a new
+/// engine-owned CSR (see DynamicGraph::ApplyToCopy) and advances
+/// graph_epoch(). The determinism contract extends to mutation: after
+/// ApplyDelta, every statistical report field is bit-identical to what a
+/// cold engine constructed on the post-edit graph (same options) would
+/// return for the same request — at every thread count and SPD kernel
+/// setting. Samplers, shards and whole-graph products (exact scores, the
+/// RK credit vector, the diameter probe, the joint-space result) are
+/// rebuilt on next use; the dependency memo survives *selectively*: the
+/// engine moves to a memo carried from its old one, which keeps only the
+/// cached passes no edit touches (DependencyMemo::Carry). That is what
+/// makes a small edit batch cheaper to re-estimate than a cold rebuild.
+/// A memo serves one graph, so an engine that shared its memo with others
+/// moves to a memo of its own across its own edits; engines that must keep
+/// sharing one after an edit are rebound instead. BindEpoch points the
+/// engine at a graph epoch published by someone else — the serving
+/// catalog builds each epoch's graph and memo once and binds its sessions
+/// to it — and resets the same graph-bound state ApplyDelta resets. The
+/// work counters (total_sp_passes, dependency_cache_hits) never go
+/// backwards across either. After the first ApplyDelta, graph() returns
+/// the engine-owned post-edit graph; the construction graph is no longer
+/// referenced.
 
 namespace mhbc {
 
@@ -293,13 +297,11 @@ class BetweennessEngine {
  public:
   /// The graph must outlive the engine. Construction is O(1); all
   /// per-estimator state is built lazily on first use. `memo` is the
-  /// dependency memo to share with other engines serving the same graph
-  /// sequence with the same options (the catalog's sessions,
-  /// serve/catalog.h), and the engine's shards keep private memos
-  /// regardless. Null (the default) gives the engine a private memo.
-  /// Either way the engine sizes its memo from
-  /// options.dependency_cache_bytes when it builds its oracle and after
-  /// each ApplyDelta.
+  /// dependency memo of `graph` to share with other engines on it with the
+  /// same options (the catalog's sessions, serve/catalog.h), and the
+  /// engine's shards keep private memos regardless. Null (the default)
+  /// gives the engine a private memo. Either way the engine sizes its memo
+  /// from options.dependency_cache_bytes when it builds its oracle.
   explicit BetweennessEngine(const CsrGraph& graph,
                              EngineOptions options = EngineOptions(),
                              std::shared_ptr<DependencyMemo> memo = nullptr);
@@ -371,7 +373,18 @@ class BetweennessEngine {
   /// no-op that keeps the epoch.
   Status ApplyDelta(const GraphDelta& delta);
 
-  /// Number of successful non-empty ApplyDelta batches so far.
+  /// Binds the engine to a graph epoch published elsewhere: `graph`, the
+  /// memo `memo` that serves it (null: a private one), and `epoch`, which
+  /// graph_epoch() then reports. `graph` must stay alive until the next
+  /// BindEpoch or ApplyDelta, or the engine's destruction. Drops the state
+  /// bound to the previous graph as ApplyDelta does, and releases the
+  /// previous graph and memo; reports after it are bit-identical to a cold
+  /// engine constructed on `graph` with the same options.
+  void BindEpoch(const CsrGraph& graph, std::shared_ptr<DependencyMemo> memo,
+                 std::uint64_t epoch);
+
+  /// The bound graph's epoch: 0 at construction, one more per successful
+  /// non-empty ApplyDelta, or the epoch BindEpoch named.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
   const CsrGraph& graph() const { return *graph_; }
@@ -391,6 +404,11 @@ class BetweennessEngine {
   Status ValidateRequest(VertexId r, const EstimateRequest& request) const;
   Status ValidateTargets(const std::vector<VertexId>& targets,
                          std::uint64_t iterations) const;
+
+  /// Drops every piece of state bound to the current graph — samplers,
+  /// the oracle, shards and whole-graph products — folding the retired
+  /// oracle's and shards' work into the counters.
+  void ResetGraphState();
 
   /// options_.num_threads resolved (0 -> hardware concurrency).
   unsigned resolved_threads() const;
@@ -435,13 +453,14 @@ class BetweennessEngine {
   const CsrGraph* graph_;
   EngineOptions options_;
 
-  /// Mutation substrate, created by the first ApplyDelta; from then on
-  /// graph_ points at its materialized CSR.
-  std::unique_ptr<DynamicGraph> dynamic_;
+  /// The post-edit graph the last ApplyDelta built, which graph_ points
+  /// at; null while the engine serves a graph it does not own.
+  std::unique_ptr<const CsrGraph> owned_graph_;
   std::uint64_t graph_epoch_ = 0;
 
-  /// The memo the engine was constructed on (null: private).
-  std::shared_ptr<DependencyMemo> shared_memo_;
+  /// The memo the oracle is built on: the one the engine was constructed
+  /// or bound on, or the one ApplyDelta carried (null: private).
+  std::shared_ptr<DependencyMemo> memo_;
   std::unique_ptr<DependencyOracle> oracle_;
   /// One iid sampler per kind, indexed by kind; empty until first use.
   std::vector<std::unique_ptr<SourceSampler>> samplers_;
@@ -461,7 +480,8 @@ class BetweennessEngine {
   std::vector<std::unique_ptr<BetweennessEngine>> shards_;
 
   /// Passes run outside the oracle and shards (exact build, probes), plus
-  /// the passes and memo hits of shards ApplyDelta retired.
+  /// the passes and memo hits of the oracles and shards that
+  /// ResetGraphState retired.
   std::uint64_t extra_passes_ = 0;
   std::uint64_t retired_cache_hits_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/common.h"
@@ -54,40 +55,48 @@ bool PassSurvivesEdits(const std::vector<std::uint32_t>& hops,
   return true;
 }
 
+/// minw of one edit's endpoints on the pre-edit graph.
+struct EndpointMinWeights {
+  double u = 0.0;
+  double v = 0.0;
+};
+
 /// Weighted companion of PassSurvivesEdits (see the class comment for the
 /// full soundness argument). `wdists` holds the pass' pre-edit weighted
 /// distances (-1 sentinel for unreached; appended vertices index past the
-/// end and read as unreached); `delta` is the engine still bound to the
-/// *pre-edit* graph, consulted for the canonical tie epsilon and the
-/// per-vertex minimum incident weights the wave rule depends on. Per edit
-/// {u,v,w}: both endpoints unreached survives (the edit cannot touch the
-/// pass' component); one reached endpoint drops (an inserted edge extends
-/// the component, and an undirected edge with one reached endpoint always
-/// made the other reachable, so this only arises on insert); both reached
+/// end and read as unreached); `minw[i]` holds the pre-edit minimum
+/// incident weights of edits[i]'s endpoints, the quantity the wave rule
+/// depends on, and `eps` is the canonical tie epsilon. Per edit {u,v,w}:
+/// both endpoints unreached survives (the edit cannot touch the pass'
+/// component); one reached endpoint drops (an inserted edge extends the
+/// component, and an undirected edge with one reached endpoint always made
+/// the other reachable, so this only arises on insert); both reached
 /// survives iff the edge is slack both ways under the canonical tie rule
 /// AND w cannot change either endpoint's minimum incident weight. Sound by
 /// induction over the batch: each passing edit changes no distance, no
-/// tie, and no minw, so the stored vectors (and the old engine's minw
-/// table) stay valid for the next edit.
+/// tie, and no minw, so the stored vectors (and the pre-edit minw) stay
+/// valid for the next edit.
 bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
                                std::span<const GraphEdit> edits,
-                               const DeltaSpd& delta, bool directed) {
+                               std::span<const EndpointMinWeights> minw,
+                               double eps, bool directed) {
   const auto wdist_of = [&wdists](VertexId v) {
     return v < wdists.size() ? wdists[v] : -1.0;
   };
-  const double eps = delta.options().tie_epsilon;
   const auto equal = [eps](double a, double b) {
     if (a == b) return true;
     const double scale = std::max(std::fabs(a), std::fabs(b));
     return std::fabs(a - b) <= eps * scale;
   };
-  for (const GraphEdit& edit : edits) {
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    const GraphEdit& edit = edits[i];
     if (edit.kind == GraphEdit::Kind::kAddVertex) continue;
     const double du = wdist_of(edit.u);
     const double dv = wdist_of(edit.v);
     const bool u_reached = du >= 0.0;
     const bool v_reached = dv >= 0.0;
     const double w = edit.weight;
+    const bool insert = edit.kind == GraphEdit::Kind::kAddEdge;
     if (directed) {
       // Directed arc u→v: paths through it enter at u, so an unreached u
       // makes the edit invisible to the pass. A reached u with an
@@ -96,17 +105,11 @@ bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
       // iff the arc is slack one way — du + w strictly above dv and not
       // within the canonical tie window — and w cannot change v's
       // minimum *incoming* weight, the only minw the wave rule reads for
-      // relaxations into v (min_incident_weight is the min in-weight on
-      // directed graphs).
+      // relaxations into v.
       if (!u_reached) continue;
       if (!v_reached) return false;
       if (du + w < dv || equal(du + w, dv)) return false;
-      const double minw_v = delta.min_incident_weight(edit.v);
-      if (edit.kind == GraphEdit::Kind::kAddEdge) {
-        if (w < minw_v) return false;
-      } else {
-        if (w <= minw_v) return false;
-      }
+      if (insert ? w < minw[i].v : w <= minw[i].v) return false;
       continue;
     }
     if (!u_reached && !v_reached) continue;
@@ -118,12 +121,10 @@ bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
     // edit must leave both endpoints' minimum unchanged. An insert needs
     // w >= minw (it cannot become the new minimum); a removal needs
     // w > minw (at w == minw it may have *been* the minimum).
-    const double minw_u = delta.min_incident_weight(edit.u);
-    const double minw_v = delta.min_incident_weight(edit.v);
-    if (edit.kind == GraphEdit::Kind::kAddEdge) {
-      if (w < minw_u || w < minw_v) return false;
+    if (insert) {
+      if (w < minw[i].u || w < minw[i].v) return false;
     } else {
-      if (w <= minw_u || w <= minw_v) return false;
+      if (w <= minw[i].u || w <= minw[i].v) return false;
     }
   }
   return true;
@@ -145,30 +146,28 @@ std::size_t DependencyMemo::CapacityFor(std::size_t budget_bytes,
                                graph.num_vertices());
 }
 
+DependencyMemo::MinWeightFn DependencyMemo::MinWeightsOf(
+    const CsrGraph& graph) {
+  return [&graph](VertexId v) {
+    double minw = std::numeric_limits<double>::infinity();
+    for (const double w : graph.in_weights(v)) minw = std::min(minw, w);
+    return minw;
+  };
+}
+
 void DependencyMemo::set_capacity(std::size_t capacity) {
-  const MutexLock lock(mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity;
   if (capacity_ == 0) entries_.clear();
 }
 
 std::size_t DependencyMemo::capacity() const {
-  const MutexLock lock(mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   return capacity_;
 }
 
-bool DependencyMemo::AtEpoch(std::uint64_t epoch) {
-  if (epoch > epoch_) {
-    invalidated_ += entries_.size();
-    entries_.clear();
-    epoch_ = epoch;
-  }
-  return epoch == epoch_;
-}
-
-DependencyMemo::EntryPtr DependencyMemo::Find(std::uint64_t epoch,
-                                              VertexId source) {
-  const MutexLock lock(mu_);
-  if (!AtEpoch(epoch)) return nullptr;
+DependencyMemo::EntryPtr DependencyMemo::Find(VertexId source) {
+  const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(source);
   if (it == entries_.end()) return nullptr;
   ++hits_;
@@ -176,7 +175,7 @@ DependencyMemo::EntryPtr DependencyMemo::Find(std::uint64_t epoch,
 }
 
 DependencyMemo::EntryPtr DependencyMemo::Insert(
-    std::uint64_t epoch, VertexId source, const std::vector<double>& deps,
+    VertexId source, const std::vector<double>& deps,
     const ShortestPathDag& dag, bool weighted) {
   // Copy outside the lock: other oracles keep reading meanwhile.
   auto entry = std::make_shared<Entry>();
@@ -186,8 +185,8 @@ DependencyMemo::EntryPtr DependencyMemo::Insert(
   } else {
     entry->hops = dag.dist;
   }
-  const MutexLock lock(mu_);
-  if (capacity_ == 0 || !AtEpoch(epoch)) return entry;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (capacity_ == 0) return entry;
   const auto it = entries_.find(source);
   if (it != entries_.end()) return it->second;  // another oracle was first
   // Bulk eviction keeps the policy trivial and deterministic; the memo
@@ -197,67 +196,87 @@ DependencyMemo::EntryPtr DependencyMemo::Insert(
   return entries_.emplace(source, std::move(entry)).first->second;
 }
 
-void DependencyMemo::ApplyGraphDelta(std::uint64_t epoch,
-                                     const CsrGraph& old_graph,
-                                     const CsrGraph& new_graph,
-                                     std::span<const GraphEdit> edits,
-                                     const DeltaSpd* old_delta) {
-  const MutexLock lock(mu_);
-  if (epoch_ > epoch) return;  // already filtered by another oracle
-  if (epoch_ < epoch || old_graph.weighted() != new_graph.weighted() ||
-      old_graph.directed() != new_graph.directed()) {
-    // Entries of an older epoch cannot be carried across these edits
-    // alone, and a weightedness or directedness flip re-keys every
-    // distance: drop everything.
-    invalidated_ += entries_.size();
-    entries_.clear();
+std::shared_ptr<DependencyMemo> DependencyMemo::Carry(
+    const CsrGraph& new_graph, std::span<const GraphEdit> edits,
+    double tie_epsilon, const MinWeightFn& old_min_weight) const {
+  // Snapshot under the lock, then filter without it: oracles still on the
+  // pre-edit graph keep reading and filling this memo meanwhile.
+  auto next = std::make_shared<DependencyMemo>();
+  std::vector<std::pair<VertexId, EntryPtr>> entries;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    next->capacity_ = capacity_;
+    next->hits_ = hits_;
+    next->inserts_ = inserts_;
+    next->invalidated_ = invalidated_;
+    entries.assign(entries_.begin(), entries_.end());
   }
-  epoch_ = epoch + 1;
   const bool weighted = new_graph.weighted();
   const bool directed = new_graph.directed();
   const std::size_t n = new_graph.num_vertices();
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const Entry& entry = *it->second;
-    MHBC_DCHECK(!weighted || old_delta != nullptr);
+  std::vector<EndpointMinWeights> minw;
+  if (weighted && !entries.empty()) {
+    MHBC_DCHECK(old_min_weight);
+    // Appended vertices have no pre-edit minw; the test never reads one,
+    // because they are unreached by every stored pass.
+    const std::size_t old_n =
+        n - static_cast<std::size_t>(std::count_if(
+                edits.begin(), edits.end(), [](const GraphEdit& edit) {
+                  return edit.kind == GraphEdit::Kind::kAddVertex;
+                }));
+    const auto minw_of = [&](VertexId v) {
+      return v < old_n ? old_min_weight(v)
+                       : std::numeric_limits<double>::infinity();
+    };
+    minw.reserve(edits.size());
+    for (const GraphEdit& edit : edits) {
+      minw.push_back(edit.kind == GraphEdit::Kind::kAddVertex
+                         ? EndpointMinWeights{}
+                         : EndpointMinWeights{minw_of(edit.u), minw_of(edit.v)});
+    }
+  }
+  next->entries_.reserve(entries.size());
+  for (auto& [source, entry] : entries) {
+    // A pass of the other distance kind (a weightedness flip) re-keys
+    // every distance and never survives.
     const bool survives =
-        edits.empty() ||
-        (weighted ? WeightedPassSurvivesEdits(entry.wdists, edits,
-                                              *old_delta, directed)
-                  : PassSurvivesEdits(entry.hops, edits, directed));
+        weighted ? !entry->wdists.empty() &&
+                       WeightedPassSurvivesEdits(entry->wdists, edits, minw,
+                                                 tie_epsilon, directed)
+                 : !entry->hops.empty() &&
+                       PassSurvivesEdits(entry->hops, edits, directed);
     if (!survives) {
-      ++invalidated_;
-      it = entries_.erase(it);
+      ++next->invalidated_;
       continue;
     }
     // Surviving passes never reach an appended vertex: extend a copy with
     // the exact values a fresh pass on the new graph would store (the old
-    // entry may still be pinned by an oracle).
-    if (entry.deps.size() < n) {
-      auto extended = std::make_shared<Entry>(entry);
+    // entry stays as it is for the pre-edit graph's readers).
+    if (entry->deps.size() < n) {
+      auto extended = std::make_shared<Entry>(*entry);
       extended->deps.resize(n, 0.0);
       if (weighted) {
         extended->wdists.resize(n, -1.0);
       } else {
         extended->hops.resize(n, kUnreachedDistance);
       }
-      it->second = std::move(extended);
+      entry = std::move(extended);
     }
-    ++it;
+    next->entries_.emplace(source, std::move(entry));
   }
+  return next;
 }
 
-void DependencyMemo::MergeFrom(std::uint64_t epoch, const DependencyMemo& other,
-                               std::uint64_t other_epoch) {
+void DependencyMemo::MergeFrom(const DependencyMemo& other) {
   // Snapshot under `other`'s lock, then fill under this one: the two locks
   // are never held together.
   std::vector<std::pair<VertexId, EntryPtr>> incoming;
   {
-    const MutexLock lock(other.mu_);
-    if (other.epoch_ != other_epoch) return;
+    const std::lock_guard<std::mutex> lock(other.mu_);
     incoming.assign(other.entries_.begin(), other.entries_.end());
   }
-  const MutexLock lock(mu_);
-  if (capacity_ == 0 || !AtEpoch(epoch)) return;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (capacity_ == 0) return;
   for (auto& [source, entry] : incoming) {
     if (entries_.size() >= capacity_) return;
     entries_.emplace(source, std::move(entry));  // no-op when present
@@ -265,7 +284,7 @@ void DependencyMemo::MergeFrom(std::uint64_t epoch, const DependencyMemo& other,
 }
 
 DependencyMemoStats DependencyMemo::Stats() const {
-  const MutexLock lock(mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   DependencyMemoStats stats;
   stats.entries = entries_.size();
   stats.capacity = capacity_;

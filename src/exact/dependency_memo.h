@@ -2,16 +2,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
-#include "sp/delta_spd.h"
 #include "sp/spd.h"
-#include "util/thread_pool.h"
 
 /// \file
 /// DependencyMemo — the store of memoized dependency vectors behind
@@ -19,7 +19,10 @@
 
 namespace mhbc {
 
-/// Point-in-time counters of one DependencyMemo.
+/// Point-in-time counters of one DependencyMemo. hits, inserts and
+/// invalidated count from the memo's construction, and a memo made by
+/// Carry starts from its predecessor's counts at the carry, so along a
+/// chain of epochs they never decrease.
 struct DependencyMemoStats {
   /// Memoized passes currently held.
   std::size_t entries = 0;
@@ -29,37 +32,34 @@ struct DependencyMemoStats {
   std::uint64_t hits = 0;
   /// Passes stored (MergeFrom copies are not counted).
   std::uint64_t inserts = 0;
-  /// Entries dropped because the graph changed: by ApplyGraphDelta's
-  /// survival test, or wholesale when an oracle arrived at a newer epoch
-  /// the memo was never carried to.
+  /// Entries a graph edit dropped: those that failed Carry's survival
+  /// test.
   std::uint64_t invalidated = 0;
 };
 
-/// Memoized single-source passes: per source, the dependency vector
-/// delta_{s.}(.) plus the pass' distances — hop distances on unweighted
-/// graphs, weighted distances on weighted ones — kept for the edit-survival
-/// test. The memo owns that entry format and its byte-sizing rule
-/// (EntryBytes, CapacityFor).
+/// Memoized single-source passes of one graph: per source, the dependency
+/// vector delta_{s.}(.) plus the pass' distances — hop distances on
+/// unweighted graphs, weighted distances on weighted ones — kept for the
+/// edit-survival test. The memo owns that entry format and its byte-sizing
+/// rule (EntryBytes, CapacityFor).
 ///
-/// Sharing. Every method is thread-safe (one Mutex), so several oracles —
-/// the sessions of one served graph (serve/catalog.h), each on its own
-/// server worker — can read and fill one memo at once. Entries are
+/// Sharing. Every method is thread-safe (one std::mutex), so several
+/// oracles — the sessions of one served graph (serve/catalog.h), each on
+/// its own server worker — can read and fill one memo at once. Entries are
 /// immutable and held by shared pointer: an oracle keeps the entry it last
 /// returned alive, so a vector returned by DependencyOracle::Dependencies
 /// stays valid until that oracle's next call, whatever another oracle
 /// evicts meanwhile. All oracles on one memo must serve the same graph
-/// sequence with the same options; since a memoized vector is
-/// bit-identical to the pass it replaces, which oracle filled an entry
-/// never shows in a report.
+/// with the same options; since a memoized vector is bit-identical to the
+/// pass it replaces, which oracle filled an entry never shows in a report.
 ///
-/// Epochs. The memo holds the passes of one graph epoch, the newest any of
-/// its oracles has reached. An oracle passes its own epoch to every call:
-/// at the memo's epoch it reads and fills the memo; behind it, it is
-/// neither served nor stored (it runs its passes alone); ahead of it, the
-/// memo drops its stale entries and moves to that epoch. ApplyGraphDelta
-/// filters the edits of one epoch once: the first oracle to apply them
-/// drops the entries they touch, and the others, applying the same edits,
-/// find the memo already at the new epoch.
+/// Epochs. A memo serves exactly one graph epoch. An edit batch does not
+/// change a memo: Carry builds the next epoch's memo from this one's
+/// survivors, shared by pointer, and leaves this one as it is, so oracles
+/// still reading the pre-edit graph keep their entries and go on filling
+/// them. The serving catalog carries once per mutate and publishes the new
+/// memo with the new graph; a standalone oracle carries its own memo in
+/// DependencyOracle::ApplyGraphDelta.
 ///
 /// Edit survival. For unweighted graphs an edit {u,v} provably leaves a
 /// pass' whole shortest-path DAG — distances, sigma, canonical order, and
@@ -91,6 +91,10 @@ class DependencyMemo {
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
+  /// minw(v) of the pre-edit graph, as DeltaSpd::min_incident_weight
+  /// defines it: the smallest incoming weight, +infinity without one.
+  using MinWeightFn = std::function<double(VertexId)>;
+
   /// A memo of up to `capacity` entries (0 = off).
   explicit DependencyMemo(std::size_t capacity = 0) : capacity_(capacity) {}
 
@@ -107,57 +111,52 @@ class DependencyMemo {
   static std::size_t CapacityFor(std::size_t budget_bytes,
                                  const CsrGraph& graph);
 
+  /// minw read off `graph`, O(deg(v)) per vertex; `graph` must outlive
+  /// the returned function.
+  static MinWeightFn MinWeightsOf(const CsrGraph& graph);
+
   /// Sets the entry capacity; 0 turns memoization off and frees the store.
   /// The store is bulk-evicted when an insert finds it full.
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
 
-  /// The memoized pass from `source` for an oracle at graph epoch `epoch`,
-  /// or null (a miss, or an oracle behind the memo's epoch).
-  EntryPtr Find(std::uint64_t epoch, VertexId source);
+  /// The memoized pass from `source`, or null.
+  EntryPtr Find(VertexId source);
 
   /// Stores the pass from `source` that produced `deps` on `dag` (weighted
-  /// passes keep dag.wdist, unweighted ones dag.dist) for an oracle at
-  /// `epoch`, and returns the entry now held for `source` — another
-  /// oracle's bit-identical entry when it got there first. The returned
-  /// entry is valid even when the memo keeps nothing (an oracle behind its
-  /// epoch); callers check capacity() first to skip the copy when off.
-  EntryPtr Insert(std::uint64_t epoch, VertexId source,
-                  const std::vector<double>& deps, const ShortestPathDag& dag,
-                  bool weighted);
+  /// passes keep dag.wdist, unweighted ones dag.dist) and returns the entry
+  /// now held for `source` — another oracle's bit-identical entry when it
+  /// got there first. The returned entry is valid even when the memo keeps
+  /// nothing; callers check capacity() first to skip the copy when off.
+  EntryPtr Insert(VertexId source, const std::vector<double>& deps,
+                  const ShortestPathDag& dag, bool weighted);
 
-  /// Carries the memo from graph epoch `epoch` to `epoch + 1`: `edits` (a
-  /// resolved DynamicGraph::Apply batch) turn `old_graph` into `new_graph`,
-  /// and `old_delta` is the pre-edit delta-stepping engine (weighted
-  /// graphs; null otherwise) whose tie epsilon and minimum incident
-  /// weights the weighted survival test reads. Drops the entries the edits
-  /// touch (see the class comment) and extends the survivors to
-  /// new_graph's vertex count. A no-op when the memo is already past
-  /// `epoch` — another oracle applied these edits first.
-  void ApplyGraphDelta(std::uint64_t epoch, const CsrGraph& old_graph,
-                       const CsrGraph& new_graph,
-                       std::span<const GraphEdit> edits,
-                       const DeltaSpd* old_delta);
+  /// The memo of the next graph epoch: `edits` (a resolved
+  /// DynamicGraph::Apply batch) turn this memo's graph into `new_graph`.
+  /// The new memo holds the entries that survive every edit (see the class
+  /// comment), shared by pointer and extended to new_graph's vertex count,
+  /// and starts from this memo's capacity and counters, with the dropped
+  /// entries counted as invalidated. `tie_epsilon` is the canonical tie
+  /// window the weighted passes ran with (SpdOptions::tie_epsilon), and
+  /// `old_min_weight` reads the pre-edit graph's minw; both are consulted
+  /// on weighted graphs only. This memo is left as it is.
+  std::shared_ptr<DependencyMemo> Carry(const CsrGraph& new_graph,
+                                        std::span<const GraphEdit> edits,
+                                        double tie_epsilon,
+                                        const MinWeightFn& old_min_weight)
+      const;
 
-  /// Copies `other`'s entries (as seen by an oracle at `other_epoch`) into
-  /// this memo (as seen by an oracle at `epoch`), skipping sources already
+  /// Copies `other`'s entries into this memo, skipping sources already
   /// present, until the capacity is reached. Entries are shared, not
-  /// copied. Counts no hits and no inserts. Both oracles must be bound to
-  /// the same graph.
-  void MergeFrom(std::uint64_t epoch, const DependencyMemo& other,
-                 std::uint64_t other_epoch);
+  /// copied. Counts no hits and no inserts. Both memos must serve the same
+  /// graph.
+  void MergeFrom(const DependencyMemo& other);
 
   DependencyMemoStats Stats() const;
 
  private:
-  /// Moves the memo to `epoch` when an oracle arrives from a newer one
-  /// (dropping the stale entries); true when `epoch` is the memo's epoch.
-  /// Requires mu_.
-  bool AtEpoch(std::uint64_t epoch);
-
-  mutable Mutex mu_;
+  mutable std::mutex mu_;
   std::size_t capacity_;
-  std::uint64_t epoch_ = 0;
   std::unordered_map<VertexId, EntryPtr> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t inserts_ = 0;

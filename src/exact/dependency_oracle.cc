@@ -5,13 +5,11 @@
 namespace mhbc {
 
 DependencyOracle::DependencyOracle(const CsrGraph& graph, SpdOptions spd,
-                                   std::shared_ptr<DependencyMemo> memo,
-                                   std::uint64_t graph_epoch)
+                                   std::shared_ptr<DependencyMemo> memo)
     : graph_(&graph),
       spd_(spd),
       accumulator_(graph),
-      memo_(memo ? std::move(memo) : std::make_shared<DependencyMemo>()),
-      graph_epoch_(graph_epoch) {
+      memo_(memo ? std::move(memo) : std::make_shared<DependencyMemo>()) {
   // The backward sweep borrows the pass engine's intra-pass pool (null
   // when spd.num_threads resolves to sequential), so one pass + accumulate
   // runs on one set of threads.
@@ -32,16 +30,21 @@ void DependencyOracle::set_cache_capacity(std::size_t max_entries) {
 
 void DependencyOracle::MergeCacheFrom(const DependencyOracle& other) {
   MHBC_DCHECK(graph_ == other.graph_);
-  memo_->MergeFrom(graph_epoch_, *other.memo_, other.graph_epoch_);
+  memo_->MergeFrom(*other.memo_);
 }
 
 void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
                                        std::span<const GraphEdit> edits) {
   returned_.reset();
-  // The memo filters against the pre-edit pass engine (its minimum
-  // incident weights), so this runs before the engines are rebuilt.
-  memo_->ApplyGraphDelta(graph_epoch_, *graph_, new_graph, edits,
-                         delta_.get());
+  // The carry reads the pre-edit pass engine's minimum incident weights,
+  // so it runs before the engines are rebuilt.
+  DependencyMemo::MinWeightFn old_min_weight;
+  if (delta_) {
+    old_min_weight = [old = delta_.get()](VertexId v) {
+      return old->min_incident_weight(v);
+    };
+  }
+  memo_ = memo_->Carry(new_graph, edits, spd_.tie_epsilon, old_min_weight);
   ++graph_epoch_;
   graph_ = &new_graph;
   // Rebuild the pass engine first: the new accumulator borrows its
@@ -61,7 +64,7 @@ void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
 
 const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
-  if (DependencyMemo::EntryPtr hit = memo_->Find(graph_epoch_, source)) {
+  if (DependencyMemo::EntryPtr hit = memo_->Find(source)) {
     ++cache_hits_;
     returned_ = std::move(hit);
     return returned_->deps;
@@ -71,8 +74,7 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
                                            : accumulator_.Accumulate(*bfs_);
   if (memo_->capacity() == 0) return deps;
   // Each pass keeps its distances for the edit-survival test.
-  returned_ = memo_->Insert(graph_epoch_, source, deps, dag,
-                            graph_->weighted());
+  returned_ = memo_->Insert(source, deps, dag, graph_->weighted());
   return returned_->deps;
 }
 

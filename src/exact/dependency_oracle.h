@@ -33,8 +33,8 @@ namespace mhbc {
 /// can memoize whole dependency vectors and serve repeated sources without
 /// re-running the pass. The vectors live in a DependencyMemo
 /// (exact/dependency_memo.h): by default a private one, off until
-/// set_cache_capacity(); or one shared with other oracles on the same graph
-/// sequence, passed at construction. Memoized answers are bit-identical to
+/// set_cache_capacity(); or one shared with other oracles on the same
+/// graph, passed at construction. Memoized answers are bit-identical to
 /// recomputed ones (the passes are deterministic), so caching — and which
 /// oracle filled the memo — never changes estimates, only work.
 ///
@@ -46,11 +46,13 @@ namespace mhbc {
 /// thread-compatible (one caller at a time); the memo it shares is
 /// thread-safe, so oracles on different threads may share one.
 ///
-/// Graph mutation. ApplyGraphDelta points the oracle at the post-edit
-/// graph and advances its graph epoch; the memo drops *only* the passes an
-/// edit provably touches (the survival test in exact/dependency_memo.h),
-/// once per epoch however many oracles share it, and serves the survivors
-/// exactly as a fresh pass on the new graph would compute them.
+/// Graph mutation. A memo serves one graph epoch. ApplyGraphDelta points
+/// the oracle at the post-edit graph and switches it to a new memo carried
+/// from its old one (DependencyMemo::Carry): the passes an edit provably
+/// does not touch survive there, exactly as a fresh pass on the new graph
+/// would compute them. Other oracles on the old memo keep it, and with it
+/// the pre-edit graph's entries. The serving catalog instead carries one
+/// memo per mutate and binds its sessions' engines to it (serve/catalog.h).
 class DependencyOracle {
  public:
   /// The graph must outlive the oracle. Weighted graphs automatically use
@@ -58,14 +60,12 @@ class DependencyOracle {
   /// engine — both configured by `spd` (kernel choice, α/β, thread count,
   /// grain, and bucket width change only the work per pass — the
   /// dependency vectors are bit-identical across all settings, see
-  /// sp/bfs_spd.h and sp/delta_spd.h). `memo` is the store to memoize in
-  /// (null: a private one, off until set_cache_capacity()); an oracle
-  /// joining a shared memo after its graph was edited passes the graph's
-  /// epoch as `graph_epoch`, so it reads the memo at the right epoch.
+  /// sp/bfs_spd.h and sp/delta_spd.h). `memo` is the store to memoize in,
+  /// which must serve `graph` (null: a private one, off until
+  /// set_cache_capacity()).
   explicit DependencyOracle(const CsrGraph& graph,
                             SpdOptions spd = SpdOptions(),
-                            std::shared_ptr<DependencyMemo> memo = nullptr,
-                            std::uint64_t graph_epoch = 0);
+                            std::shared_ptr<DependencyMemo> memo = nullptr);
 
   /// Runs one pass from `source` and returns delta_{source.}(target).
   double Dependency(VertexId source, VertexId target);
@@ -111,10 +111,13 @@ class DependencyOracle {
   /// Rebinds the oracle to `new_graph` — the graph produced by applying
   /// the resolved edit batch `edits` (DynamicGraph::Apply output, with
   /// kRemoveEdge weights filled in) to the currently-bound graph — and
-  /// advances the graph epoch. Memoized passes the edits provably do not
-  /// touch survive (DependencyMemo::ApplyGraphDelta, which a shared memo
-  /// runs once per epoch); the SPD engines and accumulator are rebuilt
-  /// against the new graph. `new_graph` must outlive the oracle like the
+  /// advances the graph epoch. The oracle switches to the memo its old one
+  /// carries across the edits (DependencyMemo::Carry), so the memoized
+  /// passes the edits provably do not touch survive, and the SPD engines
+  /// and accumulator are rebuilt against the new graph. The pre-edit graph
+  /// is not read (the weighted survival test takes its minimum incident
+  /// weights from the pre-edit pass engine), so it may be the same object
+  /// edited in place. `new_graph` must outlive the oracle like the
   /// construction graph did.
   void ApplyGraphDelta(const CsrGraph& new_graph,
                        std::span<const GraphEdit> edits);
@@ -132,8 +135,7 @@ class DependencyOracle {
   /// without a pass.
   std::uint64_t cache_hits() const { return cache_hits_; }
 
-  /// The epoch of the bound graph: the construction epoch plus one per
-  /// ApplyGraphDelta rebind.
+  /// Number of ApplyGraphDelta rebinds so far.
   std::uint64_t graph_epoch() const { return graph_epoch_; }
 
   /// Memoized passes currently held by the memo (all oracles' on a shared
@@ -142,12 +144,15 @@ class DependencyOracle {
 
   /// Cumulative memo entries dropped by graph edits (the selectivity
   /// readout: low relative to cached_entries() means most passes survive
-  /// each edit batch). On a shared memo, each epoch's edits count once.
+  /// each edit batch).
   std::uint64_t invalidated_entries() const {
     return memo_->Stats().invalidated;
   }
 
   const CsrGraph& graph() const { return *graph_; }
+
+  /// The memo the oracle reads and fills.
+  const std::shared_ptr<DependencyMemo>& memo() const { return memo_; }
 
  private:
   const CsrGraph* graph_;

@@ -544,6 +544,19 @@ const CsrGraph& DynamicGraph::Csr() {
   return base_;
 }
 
+StatusOr<CsrGraph> DynamicGraph::ApplyToCopy(const CsrGraph& graph,
+                                             const GraphDelta& delta,
+                                             std::vector<GraphEdit>* resolved) {
+  MHBC_DCHECK(!delta.empty());
+  DynamicGraph dynamic(CsrGraph::WrapExternal(
+      graph.raw_offsets(), graph.raw_adjacency(), graph.raw_weights(),
+      graph.name(), graph.directed()));
+  MHBC_RETURN_IF_ERROR(dynamic.Apply(delta, resolved));
+  dynamic.Compact();  // a non-empty batch leaves owned storage, not the view
+  MHBC_DCHECK(!dynamic.base_.is_external_view());
+  return std::move(dynamic.base_);
+}
+
 // -------------------------------------------------------- random scripts
 
 GraphDelta MakeRandomEditScript(const CsrGraph& graph, std::size_t num_edits,

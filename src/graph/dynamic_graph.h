@@ -120,6 +120,14 @@ class DynamicGraph {
   explicit DynamicGraph(CsrGraph base,
                         DynamicGraphOptions options = DynamicGraphOptions());
 
+  /// The post-edit graph of `graph` under `delta`, in owned storage,
+  /// leaving `graph` untouched: the edits are validated and applied on an
+  /// overlay over a view of `graph`, which is then compacted. Fails like
+  /// Apply; `resolved` as there. `delta` must be non-empty.
+  static StatusOr<CsrGraph> ApplyToCopy(const CsrGraph& graph,
+                                        const GraphDelta& delta,
+                                        std::vector<GraphEdit>* resolved);
+
   /// Applies `delta` atomically: every op is validated against the
   /// sequentially-edited state first (duplicate inserts, missing removals,
   /// self-loops, out-of-range ids, non-1.0 weights on an unweighted graph

@@ -9,7 +9,10 @@ namespace mhbc::serve {
 // ---------------------------------------------------------------------------
 
 ReadLease::ReadLease(ReadLease&& other) noexcept
-    : entry_(other.entry_), engine_(other.engine_), epoch_(other.epoch_) {
+    : entry_(other.entry_),
+      engine_(other.engine_),
+      epoch_(std::move(other.epoch_)),
+      epoch_number_(other.epoch_number_) {
   other.entry_ = nullptr;
   other.engine_ = nullptr;
 }
@@ -19,7 +22,8 @@ ReadLease& ReadLease::operator=(ReadLease&& other) noexcept {
     Release();
     entry_ = other.entry_;
     engine_ = other.engine_;
-    epoch_ = other.epoch_;
+    epoch_ = std::move(other.epoch_);
+    epoch_number_ = other.epoch_number_;
     other.entry_ = nullptr;
     other.engine_ = nullptr;
   }
@@ -34,6 +38,9 @@ void ReadLease::Release() {
   }
   entry_ = nullptr;
   engine_ = nullptr;
+  // Last: the session no longer refers to the epoch, which is freed here
+  // when this was its last lease and a mutate has superseded it.
+  epoch_.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -54,102 +61,116 @@ GraphShape ShapeOf(const CsrGraph& graph) {
 
 GraphEntry::GraphEntry(std::string name, CsrGraph graph,
                        const EngineOptions& options, std::size_t sessions)
-    : name_(std::move(name)),
-      graph_(std::move(graph)),
-      // Sized here only so `stats` shows the capacity before the first
-      // read; from then on the sessions' engines size it, all alike.
-      memo_(std::make_shared<DependencyMemo>(DependencyMemo::CapacityFor(
-          options.dependency_cache_bytes, graph_))),
-      shape_(ShapeOf(graph_)) {
+    : name_(std::move(name)), options_(options) {
+  auto first = std::make_unique<GraphEpoch>();
+  first->graph = std::move(graph);
+  first->memo = std::make_shared<DependencyMemo>(DependencyMemo::CapacityFor(
+      options_.dependency_cache_bytes, first->graph));
+  current_ = Publish(std::move(first));
   if (sessions == 0) sessions = 1;
   sessions_.reserve(sessions);
   free_.reserve(sessions);
   for (std::size_t i = 0; i < sessions; ++i) {
-    sessions_.push_back(
-        std::make_unique<BetweennessEngine>(graph_, options, memo_));
+    sessions_.push_back(std::make_unique<BetweennessEngine>(
+        current_->graph, options_, current_->memo));
     free_.push_back(sessions_.back().get());
   }
 }
 
+std::shared_ptr<const GraphEpoch> GraphEntry::Publish(
+    std::unique_ptr<GraphEpoch> epoch) {
+  epochs_live_.fetch_add(1);
+  return std::shared_ptr<const GraphEpoch>(
+      epoch.release(), [this](const GraphEpoch* retired) {
+        delete retired;
+        epochs_live_.fetch_sub(1);
+      });
+}
+
 ReadLease GraphEntry::AcquireRead() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] {
-    return !writer_active_ && writers_waiting_ == 0 && !free_.empty();
-  });
+  cv_.wait(lock, [this] { return !free_.empty(); });
   BetweennessEngine* engine = free_.back();
   free_.pop_back();
   ++reads_served_;
-  return ReadLease(this, engine, epoch_);
+  // Idle sessions are bound to current_ (Mutate and ReturnSession see to
+  // it), so the lease only has to pin the epoch.
+  return ReadLease(this, engine, current_);
 }
 
 void GraphEntry::ReturnSession(BetweennessEngine* engine) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // A session leased before the last publish comes back bound to a
+    // superseded epoch (or, after its holder's own ApplyDelta, to a graph
+    // of its own): rebind it, so an idle session never pins an epoch.
+    if (&engine->graph() != &current_->graph) {
+      engine->BindEpoch(current_->graph, current_->memo, current_->number);
+    }
     free_.push_back(engine);
   }
-  cv_.notify_all();
+  cv_.notify_one();
 }
 
 StatusOr<MutateResult> GraphEntry::Mutate(const GraphDelta& delta) {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++writers_waiting_;
-  cv_.wait(lock, [this] {
-    return !writer_active_ && free_.size() == sessions_.size();
-  });
-  --writers_waiting_;
-  writer_active_ = true;
-  lock.unlock();
-
-  // Exclusive: every session is parked in free_ and writer_active_ keeps
-  // readers (and other writers) out, so the engines can be edited without
-  // the lock. The first ApplyDelta is the validation gate — it is atomic
-  // per the engine contract, so an invalid delta leaves session 0 (and
-  // thus all sessions) untouched. Once it succeeds, the same delta is
-  // valid against every identically-edited sibling.
-  Status applied = sessions_.front()->ApplyDelta(delta);
-  if (applied.ok()) {
-    for (std::size_t i = 1; i < sessions_.size(); ++i) {
-      const Status sibling = sessions_[i]->ApplyDelta(delta);
-      if (!sibling.ok()) {
-        // Unreachable when the sessions are in lockstep; surface loudly
-        // rather than serving a torn pool.
-        applied = Status::FailedPrecondition(
-            "session pool diverged applying a validated delta: " +
-            sibling.message());
-        break;
-      }
+  // Mutates serialize on write_mu_, so only this thread replaces current_
+  // until it returns; mu_ is taken just to read it and to publish.
+  const std::lock_guard<std::mutex> write(write_mu_);
+  std::shared_ptr<const GraphEpoch> previous;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    previous = current_;
+  }
+  if (delta.empty()) {
+    return MutateResult{previous->number, ShapeOf(previous->graph)};
+  }
+  // The delta is applied once, to an overlay on the immutable current
+  // graph: that is the validation gate, and an invalid delta leaves the
+  // entry as it was.
+  std::vector<GraphEdit> resolved;
+  StatusOr<CsrGraph> edited =
+      DynamicGraph::ApplyToCopy(previous->graph, delta, &resolved);
+  if (!edited.ok()) return edited.status();
+  auto next = std::make_unique<GraphEpoch>();
+  next->number = previous->number + 1;
+  next->graph = std::move(edited).value();
+  next->memo = previous->memo->Carry(
+      next->graph, resolved, options_.spd.tie_epsilon,
+      DependencyMemo::MinWeightsOf(previous->graph));
+  next->memo->set_capacity(DependencyMemo::CapacityFor(
+      options_.dependency_cache_bytes, next->graph));
+  const MutateResult installed{next->number, ShapeOf(next->graph)};
+  std::shared_ptr<const GraphEpoch> published = Publish(std::move(next));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    current_ = published;
+    ++mutations_applied_;
+    for (BetweennessEngine* engine : free_) {
+      engine->BindEpoch(published->graph, published->memo, published->number);
     }
   }
-
-  lock.lock();
-  // Still exclusive until writer_active_ drops, so the sessions' graph can
-  // be read.
-  const std::uint64_t engine_epoch = sessions_.front()->graph_epoch();
-  if (applied.ok() && engine_epoch != epoch_) {  // empty delta keeps it
-    epoch_ = engine_epoch;
-    shape_ = ShapeOf(sessions_.front()->graph());
-    ++mutations_applied_;
-  }
-  const MutateResult installed{epoch_, shape_};
-  writer_active_ = false;
-  lock.unlock();
-  cv_.notify_all();
-  if (!applied.ok()) return applied;
+  // `previous` is released here, outside mu_: with no lease on it, the
+  // superseded epoch's graph and memo are freed on this thread.
   return installed;
 }
 
 GraphEntryStats GraphEntry::Stats() const {
   GraphEntryStats stats;
-  // The memo has its own lock; never read it through a session's engine,
-  // which a reader or the writer may hold.
-  stats.memo = memo_->Stats();
-  std::lock_guard<std::mutex> lock(mu_);
-  stats.epoch = epoch_;
-  stats.sessions = sessions_.size();
-  stats.sessions_free = free_.size();
-  stats.reads_served = reads_served_;
-  stats.mutations_applied = mutations_applied_;
-  stats.shape = shape_;
+  std::shared_ptr<const GraphEpoch> current;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    current = current_;
+    stats.sessions = sessions_.size();
+    stats.sessions_free = free_.size();
+    stats.reads_served = reads_served_;
+    stats.mutations_applied = mutations_applied_;
+  }
+  // The epoch is immutable and the memo has its own lock; neither is read
+  // through a session's engine, which a reader may hold.
+  stats.epoch = current->number;
+  stats.shape = ShapeOf(current->graph);
+  stats.memo = current->memo->Stats();
+  stats.epochs_live = epochs_live_.load();
   return stats;
 }
 

@@ -372,6 +372,7 @@ std::string Server::ExecuteStats(const ServeRequest& request) {
            << ", \"sessions_free\": " << g.sessions_free
            << ", \"reads_served\": " << g.reads_served
            << ", \"mutations_applied\": " << g.mutations_applied
+           << ", \"epochs_live\": " << g.epochs_live
            << ", \"num_vertices\": " << g.shape.num_vertices
            << ", \"num_edges\": " << g.shape.num_edges
            << ", \"directed\": " << (g.shape.directed ? "true" : "false")

@@ -38,9 +38,11 @@
 ///   engine's BudgetKind::kDeadline stop rule, so an expiring request
 ///   returns the samples it managed as a *partial* report whose entries
 ///   carry `"flag": "kDeadline"` instead of an error).
-/// - **Epochs.** Graph reads run under a catalog ReadLease and report the
-///   lease epoch; `mutate` drains readers and installs atomically
-///   (serve/catalog.h has the bit-identity contract).
+/// - **Epochs.** A graph read runs under a catalog ReadLease on the epoch
+///   that was current when it took the lease, and its response names that
+///   epoch. `mutate` publishes the next epoch without waiting for reads in
+///   flight, and an epoch lives as long as its leases (serve/catalog.h has
+///   the bit-identity contract).
 
 namespace mhbc::serve {
 

@@ -78,34 +78,6 @@ class ThreadPool {
   std::atomic<std::size_t> next_index_{0};
 };
 
-/// A mutex for state that threads share outside the pool's fork/join
-/// shape: the dependency memo a served graph's sessions share
-/// (exact/dependency_memo.h), which server workers read and fill at once.
-/// It lives here so every raw synchronization primitive of the library
-/// stays in util/thread_pool (the mhbc-raw-concurrency rule). Hold it
-/// through MutexLock.
-class Mutex {
- public:
-  Mutex() = default;
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
-
- private:
-  friend class MutexLock;
-  std::mutex mu_;
-};
-
-/// Holds a Mutex for its scope.
-class MutexLock {
- public:
-  explicit MutexLock(Mutex& mutex) : lock_(mutex.mu_) {}
-  MutexLock(const MutexLock&) = delete;
-  MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  std::lock_guard<std::mutex> lock_;
-};
-
 /// Runs produce(worker, index) for every index and returns the results in
 /// index order — the deterministic fan-out shape: any thread count yields
 /// the same vector. T must be default-constructible and move-assignable.

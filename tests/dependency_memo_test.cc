@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -126,13 +127,16 @@ TEST(DependencyMemoTest, ConcurrentOraclesMatchFreshPasses) {
   }
 }
 
-// An oracle behind the memo's epoch is neither served nor stored; one that
-// joins at the memo's epoch reads the entries already there.
-TEST(DependencyMemoTest, OraclesReadTheMemoOnlyAtItsEpoch) {
+// Each graph epoch has its own memo. An oracle that applies an edit batch
+// moves to a memo carried from the shared one, holding exactly the passes
+// that survive the edits; an oracle still on the pre-edit graph keeps the
+// shared memo, and with it every entry, whatever the other one does.
+TEST(DependencyMemoTest, EachEpochKeepsItsOwnMemo) {
   const CsrGraph start = MakeGrid(5, 5);
   DynamicGraph dynamic(start);
   GraphDelta delta;
-  delta.RemoveEdge(0, 1);
+  delta.AddEdge(0, 6);  // a diagonal chord: passes from equidistant sources
+                        // survive it
   std::vector<GraphEdit> resolved;
   ASSERT_TRUE(dynamic.Apply(delta, &resolved).ok());
   const CsrGraph& next = dynamic.Csr();
@@ -140,22 +144,41 @@ TEST(DependencyMemoTest, OraclesReadTheMemoOnlyAtItsEpoch) {
   auto memo = std::make_shared<DependencyMemo>(/*capacity=*/25);
   DependencyOracle ahead(start, SpdOptions(), memo);
   DependencyOracle behind(start, SpdOptions(), memo);
-  (void)ahead.Dependencies(12);
-  ahead.ApplyGraphDelta(next, resolved);  // the memo moves to epoch 1
+  const std::vector<VertexId> warmed = {1, 5, 10, 12, 24};
+  for (const VertexId s : warmed) (void)ahead.Dependencies(s);
+  ahead.ApplyGraphDelta(next, resolved);
   (void)ahead.Dependencies(6);
 
-  // `behind` still serves epoch 0: its answers are its own passes.
+  // `behind` still reads the pre-edit memo: ahead's pass from 12 is a hit,
+  // bit-identical to a fresh pass on the pre-edit graph.
+  EXPECT_EQ(behind.Dependencies(12), FreshDependencies(start, 12));
+  EXPECT_EQ(behind.cache_hits(), 1u);
+  EXPECT_EQ(behind.num_passes(), 0u);
+  // Ahead's post-edit pass from 6 went to the carried memo only.
   EXPECT_EQ(behind.Dependencies(6), FreshDependencies(start, 6));
-  EXPECT_EQ(behind.cache_hits(), 0u);
-  const std::uint64_t inserts = memo->Stats().inserts;
-  (void)behind.Dependencies(3);
-  EXPECT_EQ(memo->Stats().inserts, inserts);
+  EXPECT_EQ(behind.num_passes(), 1u);
+  EXPECT_EQ(memo->Stats().entries, warmed.size() + 1);
+  EXPECT_EQ(memo->Stats().invalidated, 0u);
 
-  // An oracle built on the post-edit graph at epoch 1 hits.
-  DependencyOracle joined(next, SpdOptions(), memo, /*graph_epoch=*/1);
-  EXPECT_EQ(joined.Dependencies(6), FreshDependencies(next, 6));
-  EXPECT_EQ(joined.cache_hits(), 1u);
-  EXPECT_EQ(joined.num_passes(), 0u);
+  // Ahead's memo holds exactly the survivors (the sources at equal hop
+  // distance from both endpoints) plus its own pass from 6, and serves the
+  // survivors as fresh passes on the post-edit graph.
+  std::vector<VertexId> survivors;
+  BfsSpd bfs(start);
+  for (const VertexId s : warmed) {
+    bfs.Run(s);
+    if (bfs.dag().dist[0] == bfs.dag().dist[6]) survivors.push_back(s);
+  }
+  ASSERT_EQ(survivors, (std::vector<VertexId>{1, 5, 10}));
+  EXPECT_EQ(ahead.cached_entries(), survivors.size() + 1);
+  EXPECT_EQ(ahead.invalidated_entries(), warmed.size() - survivors.size());
+  for (const VertexId s : warmed) {
+    const std::uint64_t hits = ahead.cache_hits();
+    EXPECT_EQ(ahead.Dependencies(s), FreshDependencies(next, s)) << s;
+    const bool survived =
+        std::find(survivors.begin(), survivors.end(), s) != survivors.end();
+    EXPECT_EQ(ahead.cache_hits() - hits, survived ? 1u : 0u) << s;
+  }
 }
 
 // (c) In a 2-session catalog entry, session 1 answers the request session 0

@@ -360,6 +360,39 @@ TEST(DirectedEngineTest, MhEstimatesThreadInvariant) {
   }
 }
 
+// An engine's ApplyDelta on a directed graph edits arcs, not undirected
+// pairs: the post-edit graph stays directed, and the engine (memo carried
+// across the edits) answers as a cold engine on the DynamicGraph result.
+TEST(DirectedEngineTest, ApplyDeltaKeepsTheGraphDirected) {
+  for (const bool weighted : {false, true}) {
+    const CsrGraph g = MakeDirectedLcg(60, 150, 0xA9, weighted);
+    GraphDelta delta;
+    delta.AddEdge(5, 0, weighted ? 1.25 : 1.0);
+    delta.RemoveEdge(0, 1);
+    DynamicGraph dynamic(g);
+    ASSERT_TRUE(dynamic.Apply(delta).ok());
+    const CsrGraph after = dynamic.Csr();
+    const std::vector<VertexId> vertices{3, 17, 40};
+    EstimateRequest request;
+    request.samples = 250;
+    request.seed = 0xA9;
+
+    BetweennessEngine engine(g);
+    ASSERT_TRUE(engine.EstimateMany(vertices, request).ok());
+    ASSERT_TRUE(engine.ApplyDelta(delta).ok());
+    ExpectDirectedGraphsIdentical(engine.graph(), after);
+    BetweennessEngine cold(after);
+    auto got = engine.EstimateMany(vertices, request);
+    auto want = cold.EstimateMany(vertices, request);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+      ExpectSameStatistics(got.value()[i], want.value()[i],
+                           weighted ? "weighted" : "unweighted");
+    }
+  }
+}
+
 // ------------------------------------------------------------ proposals
 
 TEST(DirectedProposalTest, DegreeProportionalUsesTotalDegree) {

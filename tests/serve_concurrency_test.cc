@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -376,6 +378,201 @@ TEST(ServeConcurrencyTest, ConcurrentMutatesReportTheEpochTheyInstalled) {
   }
   std::sort(epochs.begin(), epochs.end());
   for (std::size_t i = 0; i < kMutates; ++i) EXPECT_EQ(epochs[i], i + 1);
+}
+
+void ExpectSameStatistics(const StatusOr<std::vector<EstimateReport>>& got,
+                          const StatusOr<std::vector<EstimateReport>>& want) {
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(got.value().size(), want.value().size());
+  for (std::size_t i = 0; i < got.value().size(); ++i) {
+    const EstimateReport& a = got.value()[i];
+    const EstimateReport& b = want.value()[i];
+    EXPECT_EQ(a.vertex, b.vertex);
+    EXPECT_EQ(a.value, b.value) << "vertex " << a.vertex;
+    EXPECT_EQ(a.samples_used, b.samples_used);
+    EXPECT_EQ(a.acceptance_rate, b.acceptance_rate);
+    EXPECT_EQ(a.ess, b.ess);
+    EXPECT_EQ(a.std_error, b.std_error);
+    EXPECT_EQ(a.ci_half_width, b.ci_half_width);
+    EXPECT_EQ(a.converged, b.converged);
+  }
+}
+
+TEST(ServeConcurrencyTest, MutatePublishesWithoutWaitingForALease) {
+  // A mutate builds and publishes the next epoch while a lease on the
+  // current one is held. The held lease keeps reading its epoch bit for
+  // bit, a new lease reads the published one, and neither session's work
+  // counters go back.
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  const GraphDelta delta = MakeRandomEditScript(base.value(), 3, 0xe90c);
+  DynamicGraph dynamic(base.value());
+  ASSERT_TRUE(dynamic.Apply(delta).ok());
+  const CsrGraph next = dynamic.Csr();
+
+  const EngineOptions options;
+  GraphEntry entry("caveman-36", base.value(), options, /*sessions=*/2);
+  EstimateRequest request;
+  request.samples = kSamples;
+  request.seed = 0x1ea5e;
+  EstimateRequest warm = request;
+  warm.seed = 0x3a7;
+
+  ReadLease held = entry.AcquireRead();
+  ASSERT_EQ(held.epoch(), 0u);
+  BetweennessEngine* const idle_engine = [&] {
+    ReadLease other = entry.AcquireRead();
+    EXPECT_TRUE(other.engine().EstimateMany(kTargets, warm).ok());
+    return &other.engine();
+  }();
+  const std::uint64_t idle_passes = idle_engine->total_sp_passes();
+  const std::uint64_t idle_hits = idle_engine->dependency_cache_hits();
+  ASSERT_GT(idle_passes, 0u);
+  ASSERT_TRUE(held.engine().EstimateMany(kTargets, warm).ok());
+  const std::uint64_t held_passes = held.engine().total_sp_passes();
+  const std::uint64_t held_hits = held.engine().dependency_cache_hits();
+
+  std::future<StatusOr<MutateResult>> mutated = std::async(
+      std::launch::async, [&entry, &delta] { return entry.Mutate(delta); });
+  const std::future_status status = mutated.wait_for(std::chrono::seconds(5));
+  // A writer that drains leases is still waiting here; let it finish, so
+  // the test fails instead of hanging.
+  if (status != std::future_status::ready) held.Release();
+  ASSERT_EQ(status, std::future_status::ready)
+      << "Mutate waited for the held lease";
+  const StatusOr<MutateResult> installed = mutated.get();
+  ASSERT_TRUE(installed.ok());
+  EXPECT_EQ(installed.value().epoch, 1u);
+  EXPECT_EQ(installed.value().shape.num_edges, next.num_edges());
+
+  // The held lease still serves epoch 0.
+  EXPECT_EQ(held.epoch(), 0u);
+  EXPECT_GE(held.engine().total_sp_passes(), held_passes);
+  EXPECT_GE(held.engine().dependency_cache_hits(), held_hits);
+  BetweennessEngine cold_before(base.value(), options);
+  ExpectSameStatistics(held.engine().EstimateMany(kTargets, request),
+                       cold_before.EstimateMany(kTargets, request));
+
+  // A new lease gets the idle session, bound to epoch 1.
+  ReadLease fresh = entry.AcquireRead();
+  EXPECT_EQ(fresh.epoch(), 1u);
+  ASSERT_EQ(&fresh.engine(), idle_engine);
+  EXPECT_GE(fresh.engine().total_sp_passes(), idle_passes);
+  EXPECT_GE(fresh.engine().dependency_cache_hits(), idle_hits);
+  BetweennessEngine cold_after(next, options);
+  ExpectSameStatistics(fresh.engine().EstimateMany(kTargets, request),
+                       cold_after.EstimateMany(kTargets, request));
+}
+
+TEST(ServeConcurrencyTest, EpochsLiveAsLongAsTheirLeases) {
+  // `stats` counts the published epochs still held: a lease pins its
+  // epoch, an epoch nobody leased is freed once superseded, and idle
+  // sessions pin none. The memo counters stay cumulative across epochs.
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  std::vector<GraphDelta> deltas;
+  {
+    DynamicGraph dyn(base.value());
+    for (std::size_t i = 0; i < 3; ++i) {
+      deltas.push_back(MakeRandomEditScript(dyn.Csr(), 2, 0x11fe + i));
+      ASSERT_TRUE(dyn.Apply(deltas.back()).ok());
+    }
+  }
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddGraph("caveman-36", base.value(), EngineOptions(),
+                            /*sessions=*/2)
+                  .ok());
+  GraphEntry* entry = catalog.Find("caveman-36");
+  Server server(&catalog);
+  const auto wire_epochs_live = [&server] {
+    const std::string line =
+        server.Call(R"({"method": "stats", "graph": "caveman-36"})");
+    const auto response = ParseServeResponse(line);
+    EXPECT_TRUE(response.ok()) << line;
+    if (!response.ok()) return -1.0;
+    const JsonValue* live = response.value()
+                                .body.Find("result")
+                                ->Find("graphs")
+                                ->array.at(0)
+                                .Find("epochs_live");
+    EXPECT_NE(live, nullptr) << line;
+    return live == nullptr ? -1.0 : live->number_value;
+  };
+  const auto mutate = [&server, &deltas](std::size_t i) {
+    const auto response =
+        ParseServeResponse(server.Call(MutateLine(700 + i, deltas[i])));
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response.value().ok);
+    EXPECT_EQ(response.value().epoch, i + 1);
+  };
+  EXPECT_EQ(entry->Stats().epochs_live, 1u);
+  ASSERT_TRUE(ParseServeResponse(server.Call(EstimateLine(1, 1))).ok());
+
+  ReadLease held = entry->AcquireRead();
+  ASSERT_EQ(held.epoch(), 0u);
+  const DependencyMemoStats memo_before = entry->Stats().memo;
+  ASSERT_GT(memo_before.inserts, 0u);
+  mutate(0);
+  mutate(1);
+  const GraphEntryStats pinned = entry->Stats();
+  EXPECT_EQ(pinned.epoch, 2u);
+  // Epoch 0 (held) and epoch 2 (current); epoch 1 had no lease.
+  EXPECT_EQ(pinned.epochs_live, 2u);
+  EXPECT_EQ(wire_epochs_live(), 2.0);
+  EXPECT_GE(pinned.memo.hits, memo_before.hits);
+  EXPECT_GE(pinned.memo.inserts, memo_before.inserts);
+  EXPECT_GE(pinned.memo.invalidated, memo_before.invalidated);
+  EXPECT_EQ(held.epoch(), 0u);
+
+  held.Release();
+  EXPECT_EQ(entry->Stats().epochs_live, 1u);
+  EXPECT_EQ(wire_epochs_live(), 1.0);
+
+  mutate(2);  // every session idle
+  EXPECT_EQ(entry->Stats().epochs_live, 1u);
+  EXPECT_EQ(wire_epochs_live(), 1.0);
+  ReadLease fresh = entry->AcquireRead();
+  EXPECT_EQ(fresh.epoch(), 3u);
+  EXPECT_EQ(fresh.engine().graph_epoch(), 3u);
+}
+
+TEST(ServeConcurrencyTest, SessionEditedByItsHolderIsReboundOnReturn) {
+  // A lease holder may edit its engine with ApplyDelta. Once the session
+  // returns it serves the current epoch again, even when its own epoch
+  // count happens to equal the entry's.
+  auto base = MakeDataset("caveman-36");
+  ASSERT_TRUE(base.ok());
+  const GraphDelta own = MakeRandomEditScript(base.value(), 2, 0x0e1);
+  const GraphDelta published = MakeRandomEditScript(base.value(), 2, 0x0e2);
+  DynamicGraph dynamic(base.value());
+  ASSERT_TRUE(dynamic.Apply(published).ok());
+  const CsrGraph next = dynamic.Csr();
+  GraphEntry entry("caveman-36", base.value(), EngineOptions(),
+                   /*sessions=*/1);
+  {
+    ReadLease lease = entry.AcquireRead();
+    ASSERT_TRUE(lease.engine().ApplyDelta(own).ok());
+    std::future<StatusOr<MutateResult>> mutated =
+        std::async(std::launch::async,
+                   [&entry, &published] { return entry.Mutate(published); });
+    const std::future_status status =
+        mutated.wait_for(std::chrono::seconds(5));
+    if (status != std::future_status::ready) lease.Release();
+    ASSERT_EQ(status, std::future_status::ready)
+        << "Mutate waited for the held lease";
+    ASSERT_TRUE(mutated.get().ok());
+    ASSERT_EQ(lease.engine().graph_epoch(), entry.Stats().epoch);
+  }
+  ReadLease lease = entry.AcquireRead();
+  EXPECT_EQ(lease.epoch(), 1u);
+  EstimateRequest request;
+  request.samples = kSamples;
+  request.seed = 0x0e3;
+  BetweennessEngine cold(next);
+  ExpectSameStatistics(lease.engine().EstimateMany(kTargets, request),
+                       cold.EstimateMany(kTargets, request));
 }
 
 }  // namespace
