@@ -13,6 +13,9 @@
 #include "exact/dependency_oracle.h"
 #include "core/joint_space.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
+#include "sp/dependency.h"
+#include "sp/dijkstra_spd.h"
 
 /// \file
 /// Cross-version bit-identity gate. The other determinism suites compare
@@ -21,7 +24,9 @@
 /// outputs to FNV-1a digests recorded as constants: dependency vectors
 /// from fixed sources, RK credit vectors, Geisberger estimates, the
 /// report fields of one analyst session, and every registry estimator
-/// served through one engine at two budgets. A speed change to the SPD
+/// served through one engine at two budgets, and the dependency and RK
+/// credit vectors of weighted passes (DeltaSpd, sequential and sharded,
+/// and the DijkstraSpd reference). A speed change to the SPD
 /// kernels or the backward sweep must leave every digest unchanged; a
 /// change that means to move results updates the constants and says why.
 
@@ -157,6 +162,101 @@ TEST(PassDigestTest, GeisbergerEstimates) {
                          g.num_vertices() / 2, g.num_vertices() - 1}) {
         digest.Add(geisberger.Estimate(r, 32));
       }
+      EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
+          << fixtures[f].name << " " << config;
+    }
+  }
+}
+
+/// An integer-weight grid: weights 1..3 from a hash of the edge, so path
+/// lengths are exact sums and many of them tie exactly — most vertices
+/// get several parents, and their order is what the fold regroups by.
+CsrGraph IntegerWeightGrid(VertexId rows, VertexId cols) {
+  const CsrGraph grid = MakeGrid(rows, cols);
+  GraphBuilder builder(grid.num_vertices());
+  for (const CsrGraph::Edge& e : grid.CollectEdges()) {
+    const std::uint64_t hash = (std::uint64_t{e.u} * 0x9E3779B1ULL) ^
+                               (std::uint64_t{e.v} * 0x85EBCA6BULL);
+    builder.AddWeightedEdge(e.u, e.v,
+                            static_cast<double>(1 + (hash >> 7) % 3));
+  }
+  return std::move(builder.Build()).value();
+}
+
+/// A real-weight grid (the churn-serve road shape), a weighted directed
+/// graph (parents over in-edges, minw over in-weights) and an
+/// integer-weight grid with many exact ties.
+std::vector<Fixture> WeightedFixtures() {
+  std::vector<Fixture> fixtures;
+  fixtures.push_back({"weighted-grid-32x32",
+                      AssignUniformWeights(MakeGrid(32, 32), 1.0, 4.0, 0x3E)});
+  fixtures.push_back(
+      {"weighted-directed-1000",
+       AssignUniformWeights(MakeRandomDirected(1000, 5000, 0xD1), 1.0, 3.0,
+                            0xD2)});
+  fixtures.push_back({"integer-grid-24x24", IntegerWeightGrid(24, 24)});
+  return fixtures;
+}
+
+/// DeltaSpd sequential, and at 4 threads with grain 0: every wave's
+/// relaxation and every level of the backward sweep go through the
+/// sharded steps.
+std::vector<std::pair<std::string, SpdOptions>> WeightedConfigs() {
+  std::vector<std::pair<std::string, SpdOptions>> configs;
+  for (unsigned threads : {1u, 4u}) {
+    SpdOptions spd;
+    spd.num_threads = threads;
+    if (threads > 1) spd.parallel_grain = 0;
+    configs.emplace_back("delta/" + std::to_string(threads), spd);
+  }
+  return configs;
+}
+
+TEST(PassDigestTest, WeightedDependencyVectorsFromFixedSources) {
+  // {DeltaSpd at every config, DijkstraSpd} per fixture. The two engines
+  // settle in different orders, so a parent may fold its children's terms
+  // in a different order: on the tie-rich integer grid the last bits
+  // differ.
+  const std::uint64_t expected[][2] = {
+      {0x462d7414c3a99624ULL, 0x462d7414c3a99624ULL},
+      {0xf3909724fda586ecULL, 0xf3909724fda586ecULL},
+      {0xf612ed7972273073ULL, 0xba394ee3954315feULL},
+  };
+  const std::vector<Fixture> fixtures = WeightedFixtures();
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    const CsrGraph& g = fixtures[f].graph;
+    for (const auto& [config, spd] : WeightedConfigs()) {
+      DependencyOracle oracle(g, spd);
+      Fnv1a digest;
+      for (VertexId s : Sources(g.num_vertices())) {
+        digest.AddAll(oracle.Dependencies(s));
+      }
+      EXPECT_EQ(Hex(digest.value()), Hex(expected[f][0]))
+          << fixtures[f].name << " " << config;
+    }
+    DijkstraSpd dijkstra(g);
+    DependencyAccumulator accumulator(g);
+    Fnv1a digest;
+    for (VertexId s : Sources(g.num_vertices())) {
+      dijkstra.Run(s);
+      digest.AddAll(accumulator.Accumulate(dijkstra));
+    }
+    EXPECT_EQ(Hex(digest.value()), Hex(expected[f][1]))
+        << fixtures[f].name << " dijkstra";
+  }
+}
+
+TEST(PassDigestTest, WeightedRkCreditVectors) {
+  const std::uint64_t expected[] = {0xecf3e42b88a3981dULL,
+                                    0xea8b5705375ca80dULL,
+                                    0x19def63968ee8926ULL};
+  const std::vector<Fixture> fixtures = WeightedFixtures();
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    for (const auto& [config, spd] : WeightedConfigs()) {
+      DependencyOracle oracle(fixtures[f].graph, spd);
+      RkSampler rk(fixtures[f].graph, /*seed=*/0x4B, &oracle);
+      Fnv1a digest;
+      digest.AddAll(rk.EstimateAll(256));
       EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
           << fixtures[f].name << " " << config;
     }
