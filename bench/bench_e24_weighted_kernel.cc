@@ -12,8 +12,8 @@
 //                           weighted sweep every estimator pays),
 //   * speedup / fused x   — against the 1-thread row,
 //   * det                 — bit-identity gate against the 1-thread run:
-//                           wdist/sigma/order/level_offsets, predecessor
-//                           lists, and dependency vectors must match
+//                           wdist/sigma/order/level_offsets, wave edge
+//                           slices, and dependency vectors must match
 //                           exactly ("!DET" must never appear; the
 //                           process exits 1 if it does).
 //
@@ -108,7 +108,7 @@ ThreadRun TimeAtThreads(const CsrGraph& graph, const SpdOptions& options,
 
 /// Per-row bit-identity gate: the `threads`-wide engine must reproduce
 /// the 1-thread engine exactly on every source — DAG (wdist, sigma,
-/// canonical wave order, wave offsets), predecessor lists, and dependency
+/// canonical wave order, wave offsets), wave edge slices, and dependency
 /// vectors.
 bool MatchesSequential(const CsrGraph& graph, const SpdOptions& options,
                        const std::vector<VertexId>& sources) {
@@ -128,11 +128,11 @@ bool MatchesSequential(const CsrGraph& graph, const SpdOptions& options,
         a.level_offsets != b.level_offsets) {
       return false;
     }
-    for (VertexId v : a.order) {
-      const auto pa = a.predecessors(v);
-      const auto pb = b.predecessors(v);
-      if (pa.size() != pb.size() ||
-          !std::equal(pa.begin(), pa.end(), pb.begin())) {
+    // Child-major wave slices: equal predecessor lists make equal slices.
+    if (a.edge_offsets != b.edge_offsets) return false;
+    for (std::size_t i = 0; i < a.edge_offsets.back(); ++i) {
+      if (a.edges[i].parent != b.edges[i].parent ||
+          a.edges[i].child != b.edges[i].child) {
         return false;
       }
     }
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
                "speedup", "fused x", "det"});
 
   // Registry graphs (undirected) plus a directed stand-in: directed
-  // wave-parallel passes relax out-edges forward and record predecessors
+  // wave-parallel passes relax out-edges forward and keep parent lists
   // over the in-CSR, so the thread-scaling gate must cover that path.
   std::vector<std::pair<std::string, CsrGraph>> cases;
   for (const DatasetSpec& spec : DatasetRegistry()) {

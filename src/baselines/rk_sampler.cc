@@ -17,10 +17,10 @@ void RkSampler::SampleOnePath(std::vector<double>* credit) {
 
   // Backtrack from t, choosing predecessor z with probability
   // sigma_sz / sigma_sw, which selects each shortest s-t path uniformly.
-  // ForEachParent walks the recorded predecessor lists of weighted passes
-  // and rescans in-neighbors against dist on BFS passes (ascending parent
-  // id, whichever kernel ran), so the chosen path — and the RNG stream —
-  // is bit-identical across kernels and thread counts.
+  // ForEachParent walks a weighted pass' parent run (relaxation order) and
+  // rescans in-neighbors against dist on BFS passes (ascending parent id,
+  // whichever kernel ran), so the chosen path — and the RNG stream — is
+  // bit-identical across kernels and thread counts.
   VertexId w = t;
   while (w != s) {
     parent_scratch_.clear();

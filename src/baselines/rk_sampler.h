@@ -12,8 +12,9 @@
 /// v is exactly the paper-normalized BC(v) (Eq. 1), and VC-dimension theory
 /// gives a distribution-free sample bound in terms of the vertex diameter.
 ///
-/// Supports weighted graphs: the path backtrack then walks the weighted
-/// SPD's explicit predecessor lists instead of the BFS distance test.
+/// Supports weighted graphs: the path backtrack then walks each vertex'
+/// run of parent edges in the weighted DAG instead of the BFS distance
+/// test.
 
 namespace mhbc {
 

@@ -19,14 +19,15 @@ DeltaSpd::DeltaSpd(const CsrGraph& graph, SpdOptions options)
   dag_.sigma.assign(n, 0);
   dag_.order.reserve(n);
   dag_.weighted = true;
-  // Parent-list capacity is the in-degree (a parent reaches v over an
-  // in-edge), so the graph's in-CSR offsets ARE the begin offsets —
-  // reference them instead of rebuilding the array. On undirected graphs
-  // the in-CSR aliases the out-CSR, preserving the historical layout.
-  dag_.pred_begin = graph.raw_in_offsets().data();
-  dag_.pred_count.assign(n, 0);
-  dag_.pred_storage.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
-  dag_.has_predecessors = true;
+  // Every SPD edge is a distinct in-arc, so the in-arc count bounds a
+  // pass' edges, and a parent list can never outgrow its vertex'
+  // in-degree: the graph's in-CSR offsets ARE the lists' begin offsets
+  // (on undirected graphs the in-CSR aliases the out-CSR).
+  dag_.edges.resize(graph.raw_in_adjacency().size());
+  dag_.parent_run.assign(n, 0);
+  pred_begin_ = graph.raw_in_offsets().data();
+  pred_count_.assign(n, 0);
+  pred_storage_.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
   settled_.assign(n, 0);
   wave_.reserve(n);
 
@@ -88,16 +89,16 @@ void DeltaSpd::RelaxCandidate(VertexId u, VertexId v, double candidate,
     // Strict improvement: reset predecessor set, re-bucket v.
     dag_.wdist[v] = candidate;
     dag_.sigma[v] = dag_.sigma[u];
-    dag_.pred_count[v] = 1;
-    dag_.pred_storage[dag_.pred_begin[v]] = u;
+    pred_count_[v] = 1;
+    pred_storage_[pred_begin_[v]] = u;
     push(BucketOf(candidate), v);
   } else if (Equal(candidate, current)) {
     // Tie: u is an additional predecessor (each directed edge relaxes at
     // most once per pass — when u settles — so no duplicate check).
     dag_.sigma[v] += dag_.sigma[u];
-    MHBC_DCHECK(dag_.pred_count[v] < graph_->in_degree(v));
-    dag_.pred_storage[dag_.pred_begin[v] + dag_.pred_count[v]] = u;
-    ++dag_.pred_count[v];
+    MHBC_DCHECK(pred_count_[v] < graph_->in_degree(v));
+    pred_storage_[pred_begin_[v] + pred_count_[v]] = u;
+    ++pred_count_[v];
   }
 }
 
@@ -109,11 +110,13 @@ void DeltaSpd::Run(VertexId source) {
   for (VertexId v : dag_.order) {
     dag_.wdist[v] = -1.0;
     dag_.sigma[v] = 0;
-    dag_.pred_count[v] = 0;
+    pred_count_[v] = 0;
     settled_[v] = 0;
   }
   dag_.order.clear();
   dag_.level_offsets.clear();
+  dag_.edge_offsets.clear();
+  std::size_t num_edges = 0;
   dag_.source = source;
   last_stats_ = Stats();
   max_bucket_ = 0;
@@ -182,6 +185,16 @@ void DeltaSpd::Run(VertexId source) {
     });
     dag_.level_offsets.push_back(dag_.order.size());
     dag_.order.insert(dag_.order.end(), wave_.begin(), wave_.end());
+    // The wave's edge slice, child-major: a settled vertex gains no more
+    // parents, so each member's list is final and becomes its run.
+    dag_.edge_offsets.push_back(num_edges);
+    for (VertexId v : wave_) {
+      dag_.parent_run[v] = num_edges;
+      const VertexId* parents = pred_storage_.data() + pred_begin_[v];
+      for (std::uint32_t i = 0; i < pred_count_[v]; ++i) {
+        dag_.edges[num_edges++] = {parents[i], v};
+      }
+    }
 
     ++last_stats_.waves;
     last_stats_.edges_examined += wave_edges;
@@ -193,6 +206,7 @@ void DeltaSpd::Run(VertexId source) {
     }
   }
   dag_.level_offsets.push_back(dag_.order.size());
+  dag_.edge_offsets.push_back(num_edges);
 
   total_stats_.edges_examined += last_stats_.edges_examined;
   total_stats_.bucket_entries_scanned += last_stats_.bucket_entries_scanned;

@@ -37,12 +37,16 @@
 /// Waves are levels. No SPD edge connects two wave members (an intra-wave
 /// candidate costs >= d_min + minw(v) and so cannot tie wdist(v)), and
 /// every parent settles in an earlier wave — the settle order is
-/// topological, exactly what the backward dependency sweep needs. Waves
-/// are recorded as ShortestPathDag::level_offsets with members in
-/// ascending (wdist, id) order, so weighted passes reuse the *same* fused
-/// level-parallel sweep (sp/dependency.h) as hybrid BFS. Note the order is
-/// NOT globally distance-sorted (a heap engine's order is): a vertex with
-/// a large minw may settle before a nearer vertex with a small minw.
+/// topological, exactly what the backward dependency sweep needs. Each
+/// wave is recorded as one level of the shared DAG format (sp/spd.h):
+/// members in canonical ascending (wdist, id) order, and the wave's edge
+/// slice child-major — each member in that order, then its parents in
+/// relaxation order. A settled vertex gains no more parents, so a
+/// member's list is final when its wave settles. Each parent then meets
+/// its children in canonical order, the one rule the shared sweep
+/// (sp/dependency.h) needs. Note the order is NOT globally distance-sorted
+/// (a heap engine's order is): a vertex with a large minw may settle
+/// before a nearer vertex with a small minw.
 ///
 /// Buckets only organize the scan. Tentative distances are kept in an
 /// array of width-Δ buckets (Δ = SpdOptions::delta_width, defaulting to
@@ -63,7 +67,7 @@
 /// (wdist, id) parent order, the exact sequential fold — staging bucket
 /// insertions that the calling thread applies in range order. Since wave
 /// members' wdist/sigma are fixed before relaxation begins and each
-/// target's state is owned by exactly one range, wdist/sigma/order/preds —
+/// target's state is owned by exactly one range, wdist/sigma/order/edges —
 /// and every dependency vector downstream — are bit-identical to the
 /// sequential pass at any thread count.
 
@@ -74,14 +78,13 @@ class ThreadPool;
 /// Reusable canonical-wave delta-stepping engine for one positively-
 /// weighted graph.
 ///
-/// Like DijkstraSpd it always records explicit predecessor lists (weighted
-/// ties cannot be re-derived from distances) into the shared CSR-capacity
-/// pred_* storage; unlike DijkstraSpd it also records the wave structure
-/// in level_offsets, which is what unlocks the fused level-parallel
-/// backward sweep. Run(source) allocates nothing after the first call. The
-/// engine is not reentrant — one Run at a time; with num_threads > 1 a Run
-/// fans wave relaxations out over an owned worker pool, which callers
-/// share for the fused sweep via intra_pool().
+/// Weighted ties cannot be re-derived from distances, so the engine keeps
+/// per-vertex parent lists while a pass runs (private scratch in in-CSR
+/// capacity layout) and copies each list into the DAG as the vertex'
+/// parent run when its wave settles. Run(source) allocates nothing after
+/// the first call. The engine is not reentrant — one Run at a time; with
+/// num_threads > 1 a Run fans wave relaxations out over an owned worker
+/// pool, which callers share for the fused sweep via intra_pool().
 class DeltaSpd {
  public:
   /// Work counters of one pass (and totals across passes). "Edges
@@ -106,18 +109,13 @@ class DeltaSpd {
   explicit DeltaSpd(const CsrGraph& graph, SpdOptions options = SpdOptions());
   ~DeltaSpd();
 
-  /// Computes wdist/sigma/order/level_offsets/predecessors from `source`.
+  /// Computes the DAG from `source`: wdist/sigma, the waves as levels, and
+  /// their edge slices.
   void Run(VertexId source);
 
   /// Result of the last Run. `dag().wdist` holds weighted distances;
   /// `dag().dist` is not populated. Valid until the next Run.
   const ShortestPathDag& dag() const { return dag_; }
-
-  /// Predecessors of v in the SPD of the last Run (dag().predecessors).
-  std::span<const VertexId> predecessors(VertexId v) const {
-    MHBC_DCHECK(v < graph_->num_vertices());
-    return dag_.predecessors(v);
-  }
 
   const CsrGraph& graph() const { return *graph_; }
   const SpdOptions& options() const { return options_; }
@@ -185,6 +183,12 @@ class DeltaSpd {
   const CsrGraph* graph_;
   SpdOptions options_;
   ShortestPathDag dag_;
+  /// In-pass parent lists: v's parents occupy pred_storage_[pred_begin_[v]
+  /// .. pred_begin_[v] + pred_count_[v]). pred_begin_ is the graph's
+  /// in-CSR offsets array, valid as long as the graph.
+  const EdgeId* pred_begin_ = nullptr;
+  std::vector<std::uint32_t> pred_count_;
+  std::vector<VertexId> pred_storage_;
   /// Per-vertex smallest incident weight minw(v); +infinity for isolated
   /// vertices (only consulted for reached vertices, which have an edge).
   std::vector<double> min_incident_;

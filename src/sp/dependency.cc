@@ -13,38 +13,15 @@ DependencyAccumulator::DependencyAccumulator(const CsrGraph& graph,
       parallel_grain_(parallel_grain),
       num_vertices_(graph.num_vertices()) {
   delta_.assign(graph.num_vertices(), 0.0);
+  coeff_.assign(graph.num_vertices(), 0.0);
   touched_.reserve(graph.num_vertices());
 }
 
 const std::vector<double>& DependencyAccumulator::Accumulate(
-    const ShortestPathDag& dag, const CsrGraph& graph) {
+    const ShortestPathDag& dag) {
+  MHBC_DCHECK(dag.sigma.size() == num_vertices_);
   for (VertexId v : touched_) delta_[v] = 0.0;
   touched_.assign(dag.order.begin(), dag.order.end());
-
-  if (dag.has_level_edges()) {
-    // BFS DAGs: one flat loop over each level's recorded SPD edges.
-    AccumulateLevelEdges(dag);
-  } else if (pool_ != nullptr && !dag.level_offsets.empty()) {
-    // Level-parallel per-vertex sweep over settle waves (DeltaSpd DAGs);
-    // Dijkstra DAGs carry no level structure and stay sequential.
-    AccumulateLevels(dag, graph);
-  } else {
-    ForEachDeepestFirst(dag, [this, &dag, &graph](VertexId w) {
-      const double coeff =
-          (1.0 + delta_[w]) / static_cast<double>(dag.sigma[w]);
-      ForEachParent(dag, graph, w, [this, &dag, coeff](VertexId v) {
-        delta_[v] += static_cast<double>(dag.sigma[v]) * coeff;
-      });
-    });
-  }
-  delta_[dag.source] = 0.0;  // dependency of s on itself is undefined/0
-  return delta_;
-}
-
-void DependencyAccumulator::AccumulateLevelEdges(const ShortestPathDag& dag) {
-  // Allocated by the first BFS sweep: accumulators that only ever sweep
-  // weighted DAGs never pay for it.
-  if (coeff_.size() != num_vertices_) coeff_.assign(num_vertices_, 0.0);
   // Level 0 is the source, which has no parents: its slice is empty.
   for (std::size_t level = dag.num_levels(); level-- > 1;) {
     // The level's deltas are final (every contribution to them came from
@@ -84,9 +61,12 @@ void DependencyAccumulator::AccumulateLevelEdges(const ShortestPathDag& dag) {
         [](std::size_t) {});
     // Phase 2 — shards cover the slice in order, so folding the buckets
     // in ascending shard order meets each parent's contributions in slice
-    // order: ascending child, FoldLevelEdges' exact regrouping.
+    // order: the level's canonical child order, FoldLevelEdges' exact
+    // regrouping.
     FoldBuckets();
   }
+  delta_[dag.source] = 0.0;  // dependency of s on itself is undefined/0
+  return delta_;
 }
 
 void DependencyAccumulator::EnsureParallelScratch() {
@@ -102,63 +82,6 @@ void DependencyAccumulator::EnsureParallelScratch() {
       6 + static_cast<std::uint32_t>(std::countr_zero(words_per_range));
   num_ranges_ = (n_words + words_per_range - 1) / words_per_range;
   buckets_.resize(BfsSpd::kFrontierShards * num_ranges_);
-}
-
-void DependencyAccumulator::AccumulateLevels(const ShortestPathDag& dag,
-                                             const CsrGraph& graph) {
-  for (std::size_t level = dag.num_levels(); level-- > 0;) {
-    const std::size_t lo = dag.level_offsets[level];
-    const std::size_t hi = dag.level_offsets[level + 1];
-    // Work proxy for the grain test: the level's in-degree sum bounds the
-    // parent edges a sweep of it examines (parents arrive over in-edges;
-    // in-degree aliases degree on undirected graphs). A function of the
-    // level only, so the parallel-or-sequential choice is
-    // thread-count-independent.
-    std::uint64_t level_edges = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      level_edges += graph.in_degree(dag.order[i]);
-    }
-    if (level_edges < parallel_grain_) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const VertexId w = dag.order[i];
-        const double coeff =
-            (1.0 + delta_[w]) / static_cast<double>(dag.sigma[w]);
-        ForEachParent(dag, graph, w, [this, &dag, coeff](VertexId v) {
-          delta_[v] += static_cast<double>(dag.sigma[v]) * coeff;
-        });
-      }
-      continue;
-    }
-    EnsureParallelScratch();
-    // Phase 1 — fixed shards of the level slice bucket per-parent
-    // contributions by destination range. delta_[w] reads are finalized
-    // (contributions to w all came from deeper levels, behind barriers);
-    // all writes go to the shard's private bucket row.
-    ParallelShardedLevel(
-        pool_, BfsSpd::kFrontierShards,
-        [this, &dag, &graph, lo, hi](unsigned, std::size_t shard) {
-          const auto [begin, end] =
-              ShardBounds(hi - lo, shard, BfsSpd::kFrontierShards);
-          std::vector<Contribution>* row =
-              buckets_.data() + shard * num_ranges_;
-          for (std::size_t i = lo + begin; i < lo + end; ++i) {
-            const VertexId w = dag.order[i];
-            const double coeff =
-                (1.0 + delta_[w]) / static_cast<double>(dag.sigma[w]);
-            ForEachParent(dag, graph, w,
-                          [this, &dag, coeff, row](VertexId v) {
-                            row[v >> range_shift_].push_back(
-                                {v, static_cast<double>(dag.sigma[v]) * coeff});
-                          });
-          }
-        },
-        // Nothing to merge: phase 2 consumes the buckets in shard order.
-        [](std::size_t) {});
-    // Phase 2 — shards bucket their slice of the level in order, so for any
-    // fixed parent v the contributions fold in level-slice order — the
-    // sequential sweep's exact floating-point regrouping.
-    FoldBuckets();
-  }
 }
 
 void DependencyAccumulator::FoldBuckets() {
@@ -182,17 +105,17 @@ void DependencyAccumulator::FoldBuckets() {
 
 const std::vector<double>& DependencyAccumulator::Accumulate(
     const BfsSpd& bfs) {
-  return Accumulate(bfs.dag(), bfs.graph());
+  return Accumulate(bfs.dag());
 }
 
 const std::vector<double>& DependencyAccumulator::Accumulate(
     const DeltaSpd& delta) {
-  return Accumulate(delta.dag(), delta.graph());
+  return Accumulate(delta.dag());
 }
 
 const std::vector<double>& DependencyAccumulator::Accumulate(
     const DijkstraSpd& dijkstra) {
-  return Accumulate(dijkstra.dag(), dijkstra.graph());
+  return Accumulate(dijkstra.dag());
 }
 
 namespace {

@@ -15,32 +15,28 @@
 ///   delta_{s.}(v) = sum over SPD-successors w of v of
 ///                   sigma_sv / sigma_sw * (1 + delta_{s.}(w)).
 /// One accumulation walks the pass' SPD edges only — O(|SPD edges|) —
-/// because every pass engine records them: BFS passes as per-level edge
-/// slices, weighted passes as per-vertex predecessor lists.
+/// because every pass engine records them in the one DAG format of
+/// sp/spd.h: levels, and per level the edge slice into it.
 ///
-/// BFS DAGs are swept level by level, deepest first: the coefficients
-/// (1 + delta(w)) / sigma(w) of the level's vertices, then one flat loop
-/// over the level's edge slice (FoldLevelEdges, sp/spd.h) — no per-vertex
-/// inner loop with a data-dependent trip count. Each parent's children
-/// ascend within a slice, so every delta folds its contributions in
-/// ascending child id: a property of the DAG alone, not of the kernel,
-/// direction or thread count that recorded the slice, which is what makes
-/// dependency vectors bit-identical across all of them.
-///
-/// Weighted DAGs keep the per-vertex sweep, in the order fixed by
-/// ForEachDeepestFirst and ForEachParent (sp/spd.h): levels deepest-first
-/// in the DAG's canonical within-level order (ascending (wdist, id) for
-/// DeltaSpd waves), reverse settle order for Dijkstra DAGs.
+/// One sweep serves BFS, delta-stepping and Dijkstra DAGs. Levels go
+/// deepest first: the coefficients (1 + delta(w)) / sigma(w) of the
+/// level's vertices, then one flat loop over the level's edge slice
+/// (FoldLevelEdges, sp/spd.h) — no per-vertex inner loop with a
+/// data-dependent trip count. No SPD edge joins two vertices of a level,
+/// so the level's deltas are final when its coefficients are taken. Each
+/// parent's children appear in the level's canonical order within a
+/// slice, so every delta folds its contributions in that order: a
+/// property of the DAG alone, not of the engine, kernel, direction or
+/// thread count that recorded the slice, which is what makes dependency
+/// vectors bit-identical across all of them.
 ///
 /// With a borrowed worker pool the sweep runs level-parallel under the
-/// same fixed-shard discipline as the BFS kernels: per level, fixed shards
-/// of the level's edge slice (BFS) or vertex slice (DeltaSpd waves) bucket
-/// per-parent contributions sigma_v * coeff_w by destination range, then
-/// each range owner folds its deltas walking the buckets in shard order.
-/// For any fixed parent the contributions fold in slice order — exactly
-/// the sequential sweep's regrouping — so delta vectors stay bit-identical
-/// at every thread count. Heap-order (Dijkstra) DAGs carry no level
-/// structure and keep the sequential reverse-settle sweep.
+/// same fixed-shard discipline as the pass kernels: per level, fixed
+/// shards of the level's edge slice bucket per-parent contributions
+/// sigma_v * coeff_w by destination range, then each range owner folds
+/// its deltas walking the buckets in shard order. For any fixed parent the
+/// contributions fold in slice order — exactly the sequential fold's
+/// regrouping — so delta vectors stay bit-identical at every thread count.
 
 namespace mhbc {
 
@@ -50,24 +46,22 @@ class ThreadPool;
 class DependencyAccumulator {
  public:
   /// `pool` (optional, non-owning, may be null) enables the level-parallel
-  /// sweep for DAGs that carry level offsets; callers share the SPD
-  /// engine's pool (BfsSpd::intra_pool) so one pass + accumulate uses one
-  /// set of threads. Levels with less work than `parallel_grain` (SPD
-  /// edges in a BFS level's slice, the in-degree sum of a weighted wave)
-  /// run the (bit-identical) sequential body; the default matches
-  /// SpdOptions::parallel_grain.
+  /// sweep; callers share the SPD engine's pool (BfsSpd::intra_pool,
+  /// DeltaSpd::intra_pool) so one pass + accumulate uses one set of
+  /// threads. Levels with fewer SPD edges in their slice than
+  /// `parallel_grain` run the (bit-identical) sequential fold; the default
+  /// matches SpdOptions::parallel_grain.
   explicit DependencyAccumulator(const CsrGraph& graph,
                                  ThreadPool* pool = nullptr,
                                  std::uint64_t parallel_grain =
                                      SpdOptions{}.parallel_grain);
 
   /// Accumulates dependencies of `dag.source` on all vertices — the single
-  /// backward-sweep implementation every pass flavor (BFS, delta-stepping,
-  /// Dijkstra) funnels through. `graph` must be the graph the pass ran
-  /// on; only the level-parallel weighted sweep reads it (in-degrees for
-  /// its grain test). Result valid until the next Accumulate call.
-  const std::vector<double>& Accumulate(const ShortestPathDag& dag,
-                                        const CsrGraph& graph);
+  /// backward sweep every pass flavor (BFS, delta-stepping, Dijkstra)
+  /// funnels through. `dag` must come from a pass on the graph the
+  /// accumulator was built for. Result valid until the next Accumulate
+  /// call.
+  const std::vector<double>& Accumulate(const ShortestPathDag& dag);
 
   /// Convenience overloads for the engines.
   const std::vector<double>& Accumulate(const BfsSpd& bfs);
@@ -90,10 +84,6 @@ class DependencyAccumulator {
     double c;
   };
 
-  /// Sweep over a BFS DAG's level edge slices, level-parallel with a pool.
-  void AccumulateLevelEdges(const ShortestPathDag& dag);
-  /// Level-parallel per-vertex sweep over settle waves (DeltaSpd DAGs).
-  void AccumulateLevels(const ShortestPathDag& dag, const CsrGraph& graph);
   /// Phase 2 of a parallel level: range owners fold the buckets into
   /// delta_ in ascending shard order, and empty them.
   void FoldBuckets();
@@ -103,8 +93,7 @@ class DependencyAccumulator {
 
   std::vector<double> delta_;
   std::vector<VertexId> touched_;
-  /// Per-vertex sweep coefficients of the BFS level being folded; sized by
-  /// the first BFS sweep.
+  /// Per-vertex sweep coefficients of the level being folded.
   std::vector<double> coeff_;
 
   /// Intra-pass parallel state; pool_ null = always-sequential sweep.

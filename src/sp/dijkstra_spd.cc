@@ -14,14 +14,14 @@ DijkstraSpd::DijkstraSpd(const CsrGraph& graph, double tie_epsilon)
   dag_.sigma.assign(n, 0);
   dag_.order.reserve(n);
   dag_.weighted = true;
-  // Parent-list capacity is the in-degree (a parent reaches v over an
-  // in-edge), so the graph's in-CSR offsets ARE the begin offsets —
-  // reference them instead of rebuilding the array; they alias the
-  // out-CSR on undirected graphs.
-  dag_.pred_begin = graph.raw_in_offsets().data();
-  dag_.pred_count.assign(n, 0);
-  dag_.pred_storage.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
-  dag_.has_predecessors = true;
+  // Every SPD edge is a distinct in-arc, and a parent list can never
+  // outgrow its vertex' in-degree: the graph's in-CSR offsets ARE the
+  // lists' begin offsets (they alias the out-CSR on undirected graphs).
+  dag_.edges.resize(graph.raw_in_adjacency().size());
+  dag_.parent_run.assign(n, 0);
+  pred_begin_ = graph.raw_in_offsets().data();
+  pred_count_.assign(n, 0);
+  pred_storage_.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
   settled_.assign(n, 0);
 }
 
@@ -36,10 +36,13 @@ void DijkstraSpd::Run(VertexId source) {
   for (VertexId v : dag_.order) {
     dag_.wdist[v] = -1.0;
     dag_.sigma[v] = 0;
-    dag_.pred_count[v] = 0;
+    pred_count_[v] = 0;
     settled_[v] = 0;
   }
   dag_.order.clear();
+  dag_.level_offsets.clear();
+  dag_.edge_offsets.clear();
+  std::size_t num_edges = 0;
   dag_.source = source;
 
   using HeapEntry = std::pair<double, VertexId>;  // (dist, vertex)
@@ -55,7 +58,16 @@ void DijkstraSpd::Run(VertexId source) {
     if (settled_[u]) continue;
     if (!Equal(du, dag_.wdist[u])) continue;  // stale entry
     settled_[u] = 1;
+    // u is a level of its own. A settled vertex gains no more parents, so
+    // its list is final and becomes its run: the level's edge slice.
+    dag_.level_offsets.push_back(dag_.order.size());
     dag_.order.push_back(u);
+    dag_.edge_offsets.push_back(num_edges);
+    dag_.parent_run[u] = num_edges;
+    const VertexId* parents = pred_storage_.data() + pred_begin_[u];
+    for (std::uint32_t i = 0; i < pred_count_[u]; ++i) {
+      dag_.edges[num_edges++] = {parents[i], u};
+    }
     const auto nbrs = graph_->neighbors(u);
     const auto wts = graph_->weights(u);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
@@ -68,19 +80,21 @@ void DijkstraSpd::Run(VertexId source) {
         // Strict improvement: reset predecessor set.
         dag_.wdist[v] = candidate;
         dag_.sigma[v] = dag_.sigma[u];
-        dag_.pred_count[v] = 1;
-        dag_.pred_storage[dag_.pred_begin[v]] = u;
+        pred_count_[v] = 1;
+        pred_storage_[pred_begin_[v]] = u;
         heap.emplace(candidate, v);
       } else if (Equal(candidate, current)) {
         // Tie: u is an additional predecessor (each neighbor appears once
         // per pass, so no duplicate check is needed).
         dag_.sigma[v] += dag_.sigma[u];
-        MHBC_DCHECK(dag_.pred_count[v] < graph_->in_degree(v));
-        dag_.pred_storage[dag_.pred_begin[v] + dag_.pred_count[v]] = u;
-        ++dag_.pred_count[v];
+        MHBC_DCHECK(pred_count_[v] < graph_->in_degree(v));
+        pred_storage_[pred_begin_[v] + pred_count_[v]] = u;
+        ++pred_count_[v];
       }
     }
   }
+  dag_.level_offsets.push_back(dag_.order.size());
+  dag_.edge_offsets.push_back(num_edges);
 }
 
 }  // namespace mhbc

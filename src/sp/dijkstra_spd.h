@@ -11,16 +11,19 @@
 /// Used for the paper's weighted-graph cost claims: one pass is
 /// O(|E| + |V| log |V|)-ish (binary heap with lazy deletion, so
 /// O(|E| log |V|) worst case — equivalent for the sparse networks here).
+/// The oracles run DeltaSpd; this engine is its value-level reference.
 
 namespace mhbc {
 
 /// Reusable Dijkstra engine for one positively-weighted graph.
 ///
-/// Unlike BFS, shortest-path ties under floating-point addition cannot be
-/// re-derived from distances alone, so the engine always records explicit
-/// predecessor lists (the SPD edges) into the shared
-/// ShortestPathDag::pred_* storage (CSR-capacity layout keyed by degree,
-/// so no per-pass allocation is needed).
+/// It records the shared DAG format (sp/spd.h) with one level per settled
+/// vertex, in settle order, so the one backward sweep walks the DAG in
+/// reverse settle order. Shortest-path ties under floating-point addition
+/// cannot be re-derived from distances alone, so the engine keeps
+/// per-vertex parent lists while a pass runs (private scratch in in-CSR
+/// capacity layout, no per-pass allocation) and copies each into the DAG
+/// as the vertex' level slice when it settles.
 class DijkstraSpd {
  public:
   /// The graph must be weighted with positive weights and outlive the
@@ -31,17 +34,19 @@ class DijkstraSpd {
   explicit DijkstraSpd(const CsrGraph& graph,
                        double tie_epsilon = kDefaultTieEpsilon);
 
-  /// Computes wdist/sigma/order/predecessors from `source`.
+  /// Computes the DAG from `source`: wdist/sigma and one level per settled
+  /// vertex.
   void Run(VertexId source);
 
   /// Result of the last Run. `dag().wdist` holds weighted distances;
   /// `dag().dist` is not populated.
   const ShortestPathDag& dag() const { return dag_; }
 
-  /// Predecessors of v in the SPD of the last Run (dag().predecessors).
+  /// Predecessors of v in the SPD of the last Run, in settle order — the
+  /// parents of v's run in dag().edges.
   std::span<const VertexId> predecessors(VertexId v) const {
     MHBC_DCHECK(v < graph_->num_vertices());
-    return dag_.predecessors(v);
+    return {pred_storage_.data() + pred_begin_[v], pred_count_[v]};
   }
 
   const CsrGraph& graph() const { return *graph_; }
@@ -52,6 +57,12 @@ class DijkstraSpd {
   const CsrGraph* graph_;
   double tie_epsilon_;
   ShortestPathDag dag_;
+  /// In-pass parent lists: v's parents occupy pred_storage_[pred_begin_[v]
+  /// .. pred_begin_[v] + pred_count_[v]). pred_begin_ is the graph's
+  /// in-CSR offsets array, valid as long as the graph.
+  const EdgeId* pred_begin_ = nullptr;
+  std::vector<std::uint32_t> pred_count_;
+  std::vector<VertexId> pred_storage_;
   std::vector<char> settled_;
 };
 

@@ -54,9 +54,9 @@ struct SpdOptions {
   /// behavior). Results are bit-identical at every value.
   unsigned num_threads = 0;
   /// Minimum per-level work (in examined edges; for the backward sweep,
-  /// the SPD edges of a BFS level's slice or the in-degree sum of a
-  /// weighted wave) before a level fans out across threads;
-  /// smaller levels run the sequential step, whose output is identical.
+  /// the SPD edges of the level's slice) before a level fans out across
+  /// threads; smaller levels run the sequential step, whose output is
+  /// identical.
   /// The threshold is a function of the level only — never of the thread
   /// count — so the parallel/sequential choice cannot break determinism.
   /// 0 forces every level through the parallel path (used by tests).
@@ -97,8 +97,9 @@ struct SpdOptions {
   double delta_width = 0.0;
 };
 
-/// One SPD edge: `parent` lies one hop (one level) closer to the source
-/// than `child` and reaches it over an in-edge of `child`.
+/// One SPD edge: `parent` lies in an earlier level than `child` (one hop
+/// closer to the source on BFS passes) and reaches it over an in-edge of
+/// `child`.
 struct SpdEdge {
   VertexId parent;
   VertexId child;
@@ -107,6 +108,19 @@ struct SpdEdge {
 /// Result arrays of one single-source pass. Arrays are indexed by vertex id
 /// and sized to the graph; entries for unreached vertices hold
 /// kUnreachedDistance / 0 sigma.
+///
+/// The one DAG format. Every pass engine records the same structure:
+/// levels (slices of `order`) and, per level, the SPD edges into it
+/// (slices of `edges`). No SPD edge joins two vertices of one level, and
+/// every parent lies in an earlier level. A level's *canonical order* is
+/// its order slice: ascending id for a BFS level, ascending (wdist, id)
+/// for a DeltaSpd settle wave, the one vertex of a DijkstraSpd level. The
+/// one ordering rule within an edge slice is that each parent's children
+/// appear in the level's canonical order. That is all the backward
+/// sweep's floating-point fold needs (FoldLevelEdges): a parent folds its
+/// children's contributions in canonical order whatever order the slice
+/// interleaves parents in, so dependency vectors are bit-identical across
+/// kernels and thread counts.
 struct ShortestPathDag {
   /// Hop distance from the source (unweighted passes).
   std::vector<std::uint32_t> dist;
@@ -114,54 +128,34 @@ struct ShortestPathDag {
   std::vector<double> wdist;
   /// Number of shortest source->v paths.
   std::vector<SigmaCount> sigma;
-  /// Vertices in settle order, source first — always a topological order
-  /// of the SPD (every parent precedes every child), which is what the
-  /// backward dependency sweep needs. Doubles as the touched list a pass
-  /// engine can reset state through in O(|reached|) (BfsSpd does so after
-  /// small passes only). Unweighted passes store the *canonical*
-  /// order — ascending vertex id within each level, independent of
-  /// traversal direction; DeltaSpd weighted passes store *its* canonical
-  /// order — ascending (wdist, id) within each settle wave — so the
-  /// backward sweep regroups identically at every thread count.
+  /// Vertices in settle order, source first, each level in its canonical
+  /// order — a topological order of the SPD (every parent precedes every
+  /// child). Doubles as the touched list a pass engine can reset state
+  /// through in O(|reached|) (BfsSpd does so after small passes only).
   std::vector<VertexId> order;
   /// Per-level slices of `order`:
   /// order[level_offsets[l] .. level_offsets[l+1]) holds the vertices of
-  /// level l — the BFS frontier at hop distance l for unweighted passes,
-  /// the l-th settle wave for DeltaSpd weighted passes. Either way no SPD
-  /// edge connects two vertices of the same level, so the backward sweep
-  /// walks levels deepest-first (and level-parallel) without re-deriving
-  /// the structure. Empty for heap-order (Dijkstra) passes, which fall
-  /// back to reverse settle order.
+  /// level l — the BFS frontier at hop distance l, the l-th DeltaSpd
+  /// settle wave, or the l-th vertex DijkstraSpd settled. Level 0 is the
+  /// source alone.
   std::vector<std::size_t> level_offsets;
-  /// BFS passes: every SPD edge, grouped by the level of its child —
-  /// edges[edge_offsets[l] .. edge_offsets[l+1]) are the edges into level
-  /// l (slice 0, the source's, is empty); see level_edges(). The one
-  /// ordering rule within a slice is that each parent's children ascend,
-  /// which is all the backward sweep's floating-point fold needs: a
-  /// parent's dependency folds its children's contributions in ascending
-  /// child id whatever order the slice interleaves parents in. Slices
-  /// therefore differ between kernels and thread counts as sequences and
-  /// agree as sets. `edges` is sized to the graph's in-arc count (every
-  /// SPD edge is a distinct in-arc, so any pass fits), and only its first
-  /// edge_offsets.back() entries are meaningful. Empty for weighted
-  /// passes, which record the per-vertex lists below instead.
+  /// Every SPD edge, grouped by the level of its child: edges[
+  /// edge_offsets[l] .. edge_offsets[l+1]) are the edges into level l
+  /// (slice 0, the source's, is empty); see level_edges(). BFS slices
+  /// interleave parents in whatever order the kernel and thread count
+  /// found them, so they agree across kernels as sets, not sequences.
+  /// Weighted slices are child-major: each child in canonical order, then
+  /// its parents in relaxation order, which makes a child's parents one
+  /// contiguous run (see parent_run). `edges` is sized to the graph's
+  /// in-arc count (every SPD edge is a distinct in-arc, so any pass fits),
+  /// and only its first edge_offsets.back() entries are meaningful.
   std::vector<SpdEdge> edges;
   std::vector<std::size_t> edge_offsets;
-  /// Weighted passes: explicit SPD predecessor (parent) lists in
-  /// CSR-capacity layout: vertex v's parents occupy
-  /// pred_storage[pred_begin[v] .. pred_begin[v] + pred_count[v]).
-  /// pred_begin points at the graph's own *in*-CSR offsets (a parent of v
-  /// reaches it over an in-edge, so a parent list can never outgrow the
-  /// in-degree; on undirected graphs the in-CSR aliases the out-CSR), so
-  /// it stays valid exactly as long as the graph the engine is bound to —
-  /// no per-engine copy. Filled by DeltaSpd (parents in wave-settle order)
-  /// and DijkstraSpd (parents in settle order). BFS passes leave
-  /// has_predecessors false; ForEachParent then re-derives parents from
+  /// Weighted passes: the index in `edges` where reached vertex v's run of
+  /// parent edges starts; the run goes on while the child is v (see
+  /// ForEachParent). Empty on BFS passes, which re-derive parents from
   /// dist.
-  const EdgeId* pred_begin = nullptr;
-  std::vector<std::uint32_t> pred_count;
-  std::vector<VertexId> pred_storage;
-  bool has_predecessors = false;
+  std::vector<std::size_t> parent_run;
   /// The source of the pass.
   VertexId source = kInvalidVertex;
   /// True if the pass used edge weights.
@@ -170,66 +164,35 @@ struct ShortestPathDag {
   /// Number of vertices reached (including the source).
   std::size_t num_reached() const { return order.size(); }
 
-  /// Number of BFS levels (0 when level offsets are absent).
+  /// Number of levels (0 before the first pass).
   std::size_t num_levels() const {
     return level_offsets.empty() ? 0 : level_offsets.size() - 1;
   }
 
-  /// True when the pass recorded per-level edge slices (BFS passes).
-  bool has_level_edges() const { return !edge_offsets.empty(); }
-
-  /// The SPD edges into level l; valid only when has_level_edges().
+  /// The SPD edges into level l.
   std::span<const SpdEdge> level_edges(std::size_t l) const {
     MHBC_DCHECK(l + 1 < edge_offsets.size());
     return {edges.data() + edge_offsets[l],
             edges.data() + edge_offsets[l + 1]};
   }
-
-  /// Parents of v in the SPD; valid only when has_predecessors.
-  std::span<const VertexId> predecessors(VertexId v) const {
-    MHBC_DCHECK(v < pred_count.size());
-    return {pred_storage.data() + pred_begin[v],
-            pred_storage.data() + pred_begin[v] + pred_count[v]};
-  }
 };
 
-/// Visits every reached vertex in the fixed backward-sweep order of the
-/// per-vertex sweeps (weighted DAGs): levels deepest-first, the DAG's
-/// canonical order within a level when it carries level offsets (DeltaSpd
-/// waves), falling back to reverse settle order (Dijkstra). BFS DAGs are
-/// swept by level edge slice instead (FoldLevelEdges), in the same level
-/// order. This single definition is what pins the floating-point
-/// regrouping of every per-vertex sweep in the library, so it must not
-/// fork per caller.
-template <typename Visit>
-void ForEachDeepestFirst(const ShortestPathDag& dag, Visit&& visit) {
-  if (!dag.level_offsets.empty()) {
-    for (std::size_t level = dag.num_levels(); level-- > 0;) {
-      const std::size_t end = dag.level_offsets[level + 1];
-      for (std::size_t i = dag.level_offsets[level]; i < end; ++i) {
-        visit(dag.order[i]);
-      }
-    }
-  } else {
-    for (auto it = dag.order.rbegin(); it != dag.order.rend(); ++it) {
-      visit(*it);
-    }
-  }
-}
-
-/// Visits every SPD parent of `w`: the recorded predecessor list when the
-/// pass stored one (weighted passes), else the in-neighbors one hop closer
-/// to the source (BFS passes, re-derived from dist; a parent reaches w
-/// over an in-edge, and on undirected graphs the in-neighbor list aliases
-/// the neighbor list). For BFS passes the enumeration order is ascending
-/// parent id, the order sigma was folded in, whichever kernel ran. The
-/// single definition of per-vertex parent enumeration (the RK backtrack,
-/// the weighted sweeps); sweeps must not fork their own.
+/// Visits every SPD parent of `w`: on weighted passes its run of parent
+/// edges, in relaxation order; on BFS passes the in-neighbors one hop
+/// closer to the source, re-derived from dist (a parent reaches w over an
+/// in-edge, and on undirected graphs the in-neighbor list aliases the
+/// neighbor list), in ascending parent id, the order sigma was folded in,
+/// whichever kernel ran. The single definition of per-vertex parent
+/// enumeration (the RK backtrack); sweeps fold level slices instead.
 template <typename Visit>
 void ForEachParent(const ShortestPathDag& dag, const CsrGraph& graph,
                    VertexId w, Visit&& visit) {
-  if (dag.has_predecessors) {
-    for (VertexId v : dag.predecessors(w)) visit(v);
+  if (dag.weighted) {
+    const std::size_t end = dag.edge_offsets.back();
+    for (std::size_t i = dag.parent_run[w];
+         i < end && dag.edges[i].child == w; ++i) {
+      visit(dag.edges[i].parent);
+    }
   } else {
     const std::uint32_t dw = dag.dist[w];
     for (VertexId v : graph.in_neighbors(w)) {
@@ -238,15 +201,15 @@ void ForEachParent(const ShortestPathDag& dag, const CsrGraph& graph,
   }
 }
 
-/// The backward-sweep step of one BFS level: for each SPD edge (p, c) into
+/// The backward-sweep step of one level: for each SPD edge (p, c) into
 /// `level`, in slice order, acc[p] += sigma[p] * coeff[c], where coeff
-/// holds the level's per-vertex coefficients by vertex id. Within a slice
-/// each parent's children ascend, so every acc[p] folds its contributions
-/// in ascending child id — a function of the DAG alone, whichever kernel
-/// and thread count recorded the slice. Sweeps call it deepest level
-/// first, after filling coeff for the level's vertices; the single
-/// definition of the BFS fold, which sharded sweeps reproduce by folding
-/// contiguous sub-slices in order.
+/// holds the level's per-vertex coefficients by vertex id. Each parent's
+/// children appear in the level's canonical order, so every acc[p] folds
+/// its contributions in that order — a function of the DAG alone,
+/// whichever engine, kernel and thread count recorded the slice. Sweeps
+/// call it deepest level first, after filling coeff for the level's
+/// vertices; the single definition of the fold, which sharded sweeps
+/// reproduce by folding contiguous sub-slices in order.
 inline void FoldLevelEdges(const ShortestPathDag& dag, std::size_t level,
                            const double* coeff, double* acc) {
   for (const SpdEdge& edge : dag.level_edges(level)) {

@@ -193,7 +193,7 @@ TEST(SpdKernelTest, DegenerateGraphsSkipHybridScratch) {
     BfsSpd bfs(g, Hybrid());
     bfs.Run(2);
     EXPECT_FALSE(bfs.hybrid_scratch_allocated());
-    EXPECT_FALSE(bfs.dag().has_predecessors);
+    EXPECT_TRUE(bfs.dag().parent_run.empty());
     EXPECT_EQ(bfs.dag().num_reached(), 1u);
     EXPECT_EQ(bfs.dag().dist[2], 0u);
     EXPECT_EQ(bfs.dag().sigma[2], 1u);

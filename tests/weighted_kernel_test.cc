@@ -74,16 +74,27 @@ void ExpectDagsIdentical(const ShortestPathDag& a, const ShortestPathDag& b) {
   EXPECT_EQ(a.level_offsets, b.level_offsets);
 }
 
+/// Weighted edge slices are child-major (each child in canonical order,
+/// then its parents in relaxation order), so two passes with the same
+/// predecessor lists record the same slices as sequences.
 void ExpectPredsIdentical(const ShortestPathDag& a,
                           const ShortestPathDag& b) {
-  ASSERT_EQ(a.has_predecessors, b.has_predecessors);
-  for (VertexId v : a.order) {
-    const auto pa = a.predecessors(v);
-    const auto pb = b.predecessors(v);
-    ASSERT_EQ(pa.size(), pb.size()) << "vertex " << v;
-    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin())) << "vertex "
-                                                              << v;
+  ASSERT_EQ(a.edge_offsets, b.edge_offsets);
+  for (std::size_t i = 0; i < a.edge_offsets.back(); ++i) {
+    EXPECT_EQ(a.edges[i].parent, b.edges[i].parent) << "edge " << i;
+    EXPECT_EQ(a.edges[i].child, b.edges[i].child) << "edge " << i;
   }
+  for (VertexId v : a.order) {
+    EXPECT_EQ(a.parent_run[v], b.parent_run[v]) << "vertex " << v;
+  }
+}
+
+/// v's SPD parents, as the RK backtrack enumerates them.
+std::vector<VertexId> ParentsOf(const ShortestPathDag& dag,
+                                const CsrGraph& graph, VertexId v) {
+  std::vector<VertexId> parents;
+  ForEachParent(dag, graph, v, [&parents](VertexId u) { parents.push_back(u); });
+  return parents;
 }
 
 // ------------------------------------- value equivalence vs Dijkstra
@@ -115,16 +126,14 @@ TEST(WeightedKernelTest, MatchesDijkstraValuesOnWeightedZoo) {
         EXPECT_EQ(a.sigma[v], b.sigma[v]) << "v=" << v;
       }
       for (VertexId v : a.order) {
-        std::vector<VertexId> pa(a.predecessors(v).begin(),
-                                 a.predecessors(v).end());
-        std::vector<VertexId> pb(b.predecessors(v).begin(),
-                                 b.predecessors(v).end());
+        std::vector<VertexId> pa = ParentsOf(a, g, v);
+        std::vector<VertexId> pb = ParentsOf(b, g, v);
         std::sort(pa.begin(), pa.end());
         std::sort(pb.begin(), pb.end());
         EXPECT_EQ(pa, pb) << "vertex " << v;
       }
       const std::vector<double> da = delta_acc.Accumulate(delta);
-      const std::vector<double>& db = dijkstra_acc.Accumulate(b, g);
+      const std::vector<double>& db = dijkstra_acc.Accumulate(b);
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         EXPECT_TRUE(NearlyEqual(da[v], db[v], 1e-8))
             << "v=" << v << " delta=" << da[v] << " dij=" << db[v];
@@ -145,7 +154,7 @@ TEST(WeightedKernelTest, WavesAreTopologicalLevelsInCanonicalOrder) {
   DeltaSpd delta(g, SpdOptions());
   delta.Run(17);
   const ShortestPathDag& dag = delta.dag();
-  ASSERT_TRUE(dag.has_predecessors);
+  ASSERT_EQ(dag.edge_offsets.size(), dag.level_offsets.size());
   ASSERT_GE(dag.num_levels(), 2u);
   ASSERT_EQ(dag.level_offsets.back(), dag.order.size());
   std::vector<std::size_t> wave_of(g.num_vertices(), 0);
@@ -162,9 +171,27 @@ TEST(WeightedKernelTest, WavesAreTopologicalLevelsInCanonicalOrder) {
       }
     }
   }
-  for (VertexId v : dag.order) {
-    for (VertexId u : dag.predecessors(v)) {
-      EXPECT_LT(wave_of[u], wave_of[v]) << "SPD edge " << u << "->" << v;
+  for (std::size_t l = 0; l < dag.num_levels(); ++l) {
+    for (const SpdEdge& edge : dag.level_edges(l)) {
+      EXPECT_EQ(wave_of[edge.child], l);
+      EXPECT_LT(wave_of[edge.parent], l)
+          << "SPD edge " << edge.parent << "->" << edge.child;
+    }
+  }
+  // Slices are child-major: children in the wave's canonical order, each
+  // child's parents one run starting at its parent_run index.
+  std::vector<std::size_t> position(g.num_vertices(), 0);
+  for (std::size_t i = 0; i < dag.order.size(); ++i) {
+    position[dag.order[i]] = i;
+  }
+  for (std::size_t l = 0; l < dag.num_levels(); ++l) {
+    const auto edges = dag.level_edges(l);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (i > 0 && edges[i - 1].child == edges[i].child) continue;
+      EXPECT_EQ(dag.parent_run[edges[i].child], dag.edge_offsets[l] + i);
+      if (i > 0) {
+        EXPECT_LT(position[edges[i - 1].child], position[edges[i].child]);
+      }
     }
   }
 }
