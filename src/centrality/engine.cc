@@ -179,27 +179,19 @@ ThreadPool* BetweennessEngine::pool() {
 
 void BetweennessEngine::EnsureShards() {
   if (!shards_.empty()) return;
-  // One fully sequential engine per pool worker. Shards split the memo
-  // byte budget so the engine's total cache footprint stays within the
-  // configured bound no matter how wide the pool is — but never below one
-  // entry, or a large graph would silently disable shard memoization
-  // entirely. 0 stays 0: caching explicitly off.
+  // One fully sequential engine per pool worker, all on this engine's
+  // memo (thread-safe), so a shard's pass serves every shard and every
+  // later query of the engine; with the engine's own options, the shards
+  // size the memo as the engine does.
   EngineOptions shard_options = options_;
   shard_options.num_threads = 1;
   // Shards are the parallel axis of a fan-out; their passes must stay
   // sequential or the pool would be oversubscribed num_threads-fold.
   shard_options.spd.num_threads = 1;
-  shard_options.dependency_cache_bytes =
-      options_.dependency_cache_bytes / resolved_threads();
-  if (options_.dependency_cache_bytes > 0) {
-    shard_options.dependency_cache_bytes =
-        std::max(shard_options.dependency_cache_bytes,
-                 DependencyMemo::EntryBytes(*graph_));
-  }
   shards_.reserve(pool()->num_threads());
   for (unsigned w = 0; w < pool()->num_threads(); ++w) {
-    shards_.push_back(
-        std::make_unique<BetweennessEngine>(*graph_, shard_options));
+    shards_.push_back(std::make_unique<BetweennessEngine>(
+        *graph_, shard_options, oracle()->memo()));
   }
 }
 
@@ -529,28 +521,15 @@ StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateBatch(
     }
     return reports;
   }
+  // Shards are bound to this engine's graph, which the requests were
+  // validated against, and share its memo.
   EnsureShards();
-  // Pre-warm each shard from the owning oracle's memo (entries are shared,
-  // not copied), then fan out. Within one fan-out the shards still pay
-  // their passes independently — that is the price of private shard memos
-  // — but knowledge accumulated by earlier queries and earlier fan-outs
-  // (on a shared memo, also other engines') is shared. Shards are bound to
-  // this engine's graph, which the requests were validated against.
-  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-    shard->oracle()->MergeCacheFrom(*oracle());
-  }
-  std::vector<EstimateReport> reports = ParallelMap<EstimateReport>(
+  return ParallelMap<EstimateReport>(
       pool(), requests.size(),
       [this, &requests, &call_clock](unsigned worker, std::size_t i) {
         return shards_[worker]->ServeValidated(requests[i].vertex,
                                                requests[i], call_clock);
       });
-  // Pull the shards' freshly memoized dependency vectors into the owning
-  // oracle so sequential queries after the fan-out reuse the passes.
-  for (const std::unique_ptr<BetweennessEngine>& shard : shards_) {
-    if (shard->oracle_) oracle()->MergeCacheFrom(*shard->oracle_);
-  }
-  return reports;
 }
 
 StatusOr<std::vector<EstimateReport>> BetweennessEngine::EstimateMany(

@@ -57,7 +57,7 @@
 /// memo from EngineOptions::dependency_cache_bytes.
 /// The memo is thread-safe and keeps a returned vector alive until its
 /// oracle's next call, so sessions on different threads may share it while
-/// each engine stays single-threaded. Shards always keep private memos.
+/// each engine stays single-threaded. The engine's shards share its memo.
 ///
 /// Per-estimator state, all built lazily on first use: one sampler per
 /// iid kind, made by its registry entry's factory on the oracle
@@ -94,11 +94,11 @@
 /// source-parallel Brandes, the RK credit vector accumulates its sample
 /// batches concurrently (each worker on its shard's oracle), and
 /// EstimateMany / EstimateBatch fan independent per-vertex queries out
-/// across internal per-worker engine shards (each
-/// shard is a fully sequential engine with its own samplers and a private
-/// dependency oracle; shard memos merge back into the owning engine's
-/// oracle when the fan-out completes, so later queries reuse the shards'
-/// passes). Because every per-vertex report is a pure function of
+/// across internal per-worker engine shards (each shard is a fully
+/// sequential engine with its own samplers and oracle, on the owning
+/// engine's memo, so a pass one shard runs serves the other shards and
+/// every later query of the engine). Because every per-vertex report is a
+/// pure function of
 /// (graph, request) and every parallel reduction uses a fixed,
 /// thread-count-independent grouping, all *statistical* report fields —
 /// value, samples_used, acceptance_rate, ess, std_error, ci_half_width,
@@ -236,7 +236,7 @@ struct EngineOptions {
   /// DependencyMemo::EntryBytes (n doubles, plus n u32 hop distances
   /// unweighted or n double weighted distances weighted, kept for edit
   /// invalidation), capped at n entries — so the footprint stays bounded
-  /// on any graph size. Shards split the budget between them. An engine
+  /// on any graph size. The engine's shards share its memo. An engine
   /// constructed on a shared memo sizes that memo by the same rule; the
   /// engines sharing one have the same options and graph, so they agree,
   /// and the budget is per memo: per graph, not per session, in the
@@ -298,10 +298,10 @@ class BetweennessEngine {
   /// The graph must outlive the engine. Construction is O(1); all
   /// per-estimator state is built lazily on first use. `memo` is the
   /// dependency memo of `graph` to share with other engines on it with the
-  /// same options (the catalog's sessions, serve/catalog.h), and the
-  /// engine's shards keep private memos regardless. Null (the default)
-  /// gives the engine a private memo. Either way the engine sizes its memo
-  /// from options.dependency_cache_bytes when it builds its oracle.
+  /// same options (the catalog's sessions, serve/catalog.h); the engine's
+  /// shards share it too. Null (the default) gives the engine a private
+  /// memo. Either way the engine sizes its memo from
+  /// options.dependency_cache_bytes when it builds its oracle.
   explicit BetweennessEngine(const CsrGraph& graph,
                              EngineOptions options = EngineOptions(),
                              std::shared_ptr<DependencyMemo> memo = nullptr);

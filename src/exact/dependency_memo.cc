@@ -267,22 +267,6 @@ std::shared_ptr<DependencyMemo> DependencyMemo::Carry(
   return next;
 }
 
-void DependencyMemo::MergeFrom(const DependencyMemo& other) {
-  // Snapshot under `other`'s lock, then fill under this one: the two locks
-  // are never held together.
-  std::vector<std::pair<VertexId, EntryPtr>> incoming;
-  {
-    const std::lock_guard<std::mutex> lock(other.mu_);
-    incoming.assign(other.entries_.begin(), other.entries_.end());
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ == 0) return;
-  for (auto& [source, entry] : incoming) {
-    if (entries_.size() >= capacity_) return;
-    entries_.emplace(source, std::move(entry));  // no-op when present
-  }
-}
-
 DependencyMemoStats DependencyMemo::Stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   DependencyMemoStats stats;

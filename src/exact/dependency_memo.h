@@ -30,7 +30,7 @@ struct DependencyMemoStats {
   std::size_t capacity = 0;
   /// Lookups served from the memo instead of a pass, over all oracles.
   std::uint64_t hits = 0;
-  /// Passes stored (MergeFrom copies are not counted).
+  /// Passes stored.
   std::uint64_t inserts = 0;
   /// Entries a graph edit dropped: those that failed Carry's survival
   /// test.
@@ -145,12 +145,6 @@ class DependencyMemo {
                                         double tie_epsilon,
                                         const MinWeightFn& old_min_weight)
       const;
-
-  /// Copies `other`'s entries into this memo, skipping sources already
-  /// present, until the capacity is reached. Entries are shared, not
-  /// copied. Counts no hits and no inserts. Both memos must serve the same
-  /// graph.
-  void MergeFrom(const DependencyMemo& other);
 
   DependencyMemoStats Stats() const;
 

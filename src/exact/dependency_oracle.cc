@@ -28,11 +28,6 @@ void DependencyOracle::set_cache_capacity(std::size_t max_entries) {
   memo_->set_capacity(max_entries);
 }
 
-void DependencyOracle::MergeCacheFrom(const DependencyOracle& other) {
-  MHBC_DCHECK(graph_ == other.graph_);
-  memo_->MergeFrom(*other.memo_);
-}
-
 void DependencyOracle::ApplyGraphDelta(const CsrGraph& new_graph,
                                        std::span<const GraphEdit> edits) {
   returned_.reset();

@@ -98,16 +98,6 @@ class DependencyOracle {
   /// sizes it for every oracle on it.
   void set_cache_capacity(std::size_t max_entries);
 
-  /// Copies `other`'s memoized dependency vectors into this oracle's memo
-  /// (skipping sources already present) until the memo's capacity is
-  /// reached. Counts no passes and no hits — it moves knowledge, not work.
-  /// Used by the engine's sharded fan-out: per-worker oracles run races-free
-  /// in isolation and their memos merge back on completion, so later
-  /// queries on the owning engine reuse the shards' passes. Both oracles
-  /// must be bound to the same graph; memoized vectors are deterministic,
-  /// so merged entries are bit-identical to locally computed ones.
-  void MergeCacheFrom(const DependencyOracle& other);
-
   /// Rebinds the oracle to `new_graph` — the graph produced by applying
   /// the resolved edit batch `edits` (DynamicGraph::Apply output, with
   /// kRemoveEdge weights filled in) to the currently-bound graph — and

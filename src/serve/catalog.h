@@ -30,7 +30,7 @@
 /// EngineOptions::dependency_cache_bytes per graph, not per session. A
 /// pass one session runs serves every session after it, and the shared
 /// memo's memory does not grow with the session count (engine shards,
-/// num_threads > 1, keep private memos of their own).
+/// num_threads > 1, share it too).
 ///
 /// Mutation publishes epochs. A GraphEpoch is one immutable graph plus the
 /// one memo that serves it. Mutate() applies the delta once, builds the

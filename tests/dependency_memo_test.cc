@@ -205,9 +205,8 @@ TEST(DependencyMemoTest, SecondSessionServesFirstSessionsPasses) {
   }
 }
 
-// Sharded fan-outs keep private shard memos, but merge them into the shared
-// memo afterwards and pre-warm from it, so the second session's shards find
-// the first session's passes.
+// Sharded fan-outs run their shards on the session's memo, the shared one,
+// so the second session's shards find the first session's passes.
 TEST(DependencyMemoTest, ShardedSessionsShareThroughTheMemo) {
   auto graph = MakeDataset("caveman-36");
   ASSERT_TRUE(graph.ok());

@@ -103,10 +103,10 @@ TEST(EngineTest, RepeatedQueryIsServedFromCaches) {
 }
 
 TEST(EngineTest, ShardMemoKeepsOneEntryUnderATinyBudget) {
-  // A sharded fan-out splits the memo budget across its workers but floors
-  // each shard at one entry. The floor must be what an entry really costs
-  // (n doubles plus n u32 hop distances on an unweighted graph); a floor
-  // below that leaves every shard with zero entries and its memo off.
+  // A sharded fan-out runs its shards on the engine's memo, sized from the
+  // engine's budget: here exactly one entry (n doubles plus n u32 hop
+  // distances on an unweighted graph). The shards must keep memoizing in
+  // that one entry while they fill it concurrently.
   const CsrGraph g = MakePath(4);
   EngineOptions options;
   options.num_threads = 2;

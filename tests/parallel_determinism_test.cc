@@ -348,7 +348,7 @@ TEST(ParallelEngineTest, IntraPassAfterApplyDeltaMatchesColdEngine) {
 
 TEST(ParallelEngineTest, ShardMemosMergeBackIntoOwningEngine) {
   // After a parallel fan-out, a sequential query on the same engine must
-  // reuse the shards' passes through the merged dependency memo.
+  // reuse the shards' passes through the memo the shards share with it.
   const CsrGraph g = MakeConnectedCaveman(6, 10);
   EngineOptions options;
   options.num_threads = 4;
@@ -362,7 +362,8 @@ TEST(ParallelEngineTest, ShardMemosMergeBackIntoOwningEngine) {
   const auto sequential = engine.Estimate(49, request);
   ASSERT_TRUE(sequential.ok());
   EXPECT_TRUE(sequential.value().cache_hit);
-  // The memo merge means the follow-up costs less than a cold engine pays.
+  // The shared memo means the follow-up costs less than a cold engine
+  // pays.
   BetweennessEngine cold(g);
   const auto cold_report = cold.Estimate(49, request);
   ASSERT_TRUE(cold_report.ok());
