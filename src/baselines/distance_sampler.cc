@@ -10,13 +10,16 @@ void DistanceProportionalSampler::PrepareTarget(VertexId r) {
   if (prepared_target_ == r) return;
   const VertexId n = graph_->num_vertices();
   std::vector<double> weights(n, 0.0);
+  // Distances *to* r: only sources that reach r depend on it.
   if (graph_->weighted()) {
-    const std::vector<double> dist = DijkstraDistances(*graph_, r);
+    const std::vector<double> dist =
+        DijkstraDistances(*graph_, r, /*reverse=*/true);
     for (VertexId v = 0; v < n; ++v) {
       if (v != r && dist[v] > 0.0) weights[v] = dist[v];
     }
   } else {
-    const std::vector<std::uint32_t> dist = BfsDistances(*graph_, r);
+    const std::vector<std::uint32_t> dist =
+        BfsDistances(*graph_, r, /*reverse=*/true);
     for (VertexId v = 0; v < n; ++v) {
       if (v != r && dist[v] != kUnreachedDistance) {
         weights[v] = static_cast<double>(dist[v]);
@@ -43,7 +46,7 @@ double DistanceProportionalSampler::Estimate(VertexId r,
   MHBC_DCHECK(num_samples > 0);
   const double n = static_cast<double>(graph_->num_vertices());
   PrepareTarget(r);
-  if (table_ == nullptr) return 0.0;  // r reaches nothing: BC(r) == 0
+  if (table_ == nullptr) return 0.0;  // nothing reaches r: BC(r) == 0
   double acc = 0.0;
   for (std::uint64_t i = 0; i < num_samples; ++i) {
     const auto s = static_cast<VertexId>(table_->Sample(&rng_));

@@ -8,7 +8,10 @@
 
 /// \file
 /// Distance-proportional source sampler of Chehreghani [13] (§3.2 of the
-/// paper): P[s] = d(r,s) / sum_u d(r,u) over s in V \ {r}.
+/// paper): P[s] = d(s,r) / sum_u d(u,r) over s in V \ {r}. On undirected
+/// graphs d(s,r) = d(r,s), the paper's form; on directed graphs only the
+/// sources that reach r depend on it, so the weight is the distance *to*
+/// r, read over the in-CSR.
 
 namespace mhbc {
 
@@ -19,10 +22,10 @@ namespace mhbc {
 /// many topologies (and the estimator stays unbiased thanks to the
 /// importance weights delta / (P[s] * n(n-1))).
 ///
-/// Setup costs one distance pass from r (recorded in num_passes; cached
+/// Setup costs one distance pass to r (recorded in num_passes; cached
 /// between calls with the same r); each sample costs one shortest-path
-/// pass. A target that reaches no other vertex lies on no shortest path,
-/// so its estimate is exactly 0 and draws nothing.
+/// pass. A target no other vertex reaches lies on no shortest path, so
+/// its estimate is exactly 0 and draws nothing.
 ///
 /// The proposal table is rebuilt only when the target changes; Reset
 /// leaves it alone (it is deterministic).
@@ -41,7 +44,7 @@ class DistanceProportionalSampler : public SourceSampler {
 
   VertexId prepared_target_ = kInvalidVertex;
   std::vector<double> probabilities_;  // indexed by vertex, 0 at r
-  /// Null when r reaches no other vertex.
+  /// Null when no other vertex reaches r.
   std::unique_ptr<DiscreteSampler> table_;
 };
 

@@ -6,7 +6,7 @@
 namespace mhbc {
 
 std::vector<std::uint32_t> BfsDistances(const CsrGraph& graph,
-                                        VertexId source) {
+                                        VertexId source, bool reverse) {
   MHBC_DCHECK(source < graph.num_vertices());
   std::vector<std::uint32_t> dist(graph.num_vertices(), kUnreachedDistance);
   std::vector<VertexId> queue;
@@ -16,7 +16,7 @@ std::vector<std::uint32_t> BfsDistances(const CsrGraph& graph,
   std::size_t head = 0;
   while (head < queue.size()) {
     const VertexId u = queue[head++];
-    for (VertexId v : graph.neighbors(u)) {
+    for (VertexId v : reverse ? graph.in_neighbors(u) : graph.neighbors(u)) {
       if (dist[v] == kUnreachedDistance) {
         dist[v] = dist[u] + 1;
         queue.push_back(v);
@@ -26,7 +26,8 @@ std::vector<std::uint32_t> BfsDistances(const CsrGraph& graph,
   return dist;
 }
 
-std::vector<double> DijkstraDistances(const CsrGraph& graph, VertexId source) {
+std::vector<double> DijkstraDistances(const CsrGraph& graph, VertexId source,
+                                      bool reverse) {
   MHBC_DCHECK(source < graph.num_vertices());
   const VertexId n = graph.num_vertices();
   std::vector<double> dist(n, -1.0);
@@ -40,8 +41,8 @@ std::vector<double> DijkstraDistances(const CsrGraph& graph, VertexId source) {
     heap.pop();
     if (settled[u]) continue;
     settled[u] = 1;
-    const auto nbrs = graph.neighbors(u);
-    const auto wts = graph.weights(u);
+    const auto nbrs = reverse ? graph.in_neighbors(u) : graph.neighbors(u);
+    const auto wts = reverse ? graph.in_weights(u) : graph.weights(u);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId v = nbrs[i];
       if (settled[v]) continue;

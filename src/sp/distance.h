@@ -11,11 +11,16 @@
 namespace mhbc {
 
 /// Hop distances from `source` (kUnreachedDistance where unreachable).
+/// With `reverse` the pass follows in-edges, so dist[v] is the distance
+/// from v *to* `source` (the same as forward on undirected graphs).
 std::vector<std::uint32_t> BfsDistances(const CsrGraph& graph,
-                                        VertexId source);
+                                        VertexId source,
+                                        bool reverse = false);
 
-/// Weighted distances from `source` (negative where unreachable). Works on
-/// unweighted graphs too (all weights 1).
-std::vector<double> DijkstraDistances(const CsrGraph& graph, VertexId source);
+/// Weighted distances from `source` (negative where unreachable), or to
+/// it with `reverse`, as for BfsDistances. Works on unweighted graphs too
+/// (all weights 1).
+std::vector<double> DijkstraDistances(const CsrGraph& graph, VertexId source,
+                                      bool reverse = false);
 
 }  // namespace mhbc

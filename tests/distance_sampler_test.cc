@@ -79,5 +79,27 @@ TEST(DistanceSamplerTest, TargetReachingNothingEstimatesZero) {
   EXPECT_GT(sampler.Estimate(1, 50), 0.0);
 }
 
+TEST(DistanceSamplerTest, DirectedPathDrawsSourcesThatReachTheTarget) {
+  // On 0→1→2→3 only the sources that reach r depend on it, so they must
+  // carry the proposal mass: weights are distances *to* r. Vertex 1's one
+  // such source is 0, whose dependency on 1 is exact, so the estimate is
+  // BC(1) = 1/6 exactly. Vertex 2 has two sources at different distances:
+  // unbiased, not exact. Weighting by the distance *from* r draws only
+  // sources r reaches, which never depend on it, and estimates 0.
+  GraphBuilder builder(4);
+  builder.set_directed(true);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(2, 3);
+  const CsrGraph g = std::move(builder.Build()).value();
+  const double exact_1 = ExactBetweennessSingle(g, 1);
+  const double exact_2 = ExactBetweennessSingle(g, 2);
+  EXPECT_DOUBLE_EQ(exact_1, 1.0 / 6.0);
+  EXPECT_DOUBLE_EQ(exact_2, 1.0 / 6.0);
+  DistanceProportionalSampler sampler(g, 23);
+  EXPECT_DOUBLE_EQ(sampler.Estimate(1, 50), exact_1);
+  EXPECT_NEAR(sampler.Estimate(2, 4'000), exact_2, 0.01);
+}
+
 }  // namespace
 }  // namespace mhbc

@@ -381,10 +381,11 @@ std::uint64_t EngineSessionDigest(const CsrGraph& g, unsigned threads) {
 }
 
 TEST(PassDigestTest, EngineReportsEveryEstimator) {
-  // {1 thread, 4 threads} per graph.
+  // {1 thread, 4 threads} per graph. The directed row covers `distance`
+  // weighting its sources by the distance to the target (the in-CSR).
   const std::uint64_t expected[][2] = {
       {0x2fdf4f63db16848cULL, 0x2edf5e1986a847b7ULL},
-      {0xff05f634bbe20096ULL, 0xb05dcef87344c65cULL},
+      {0x54f79c0d4a4c6ceaULL, 0xf5ddf8e2798700f6ULL},
       {0x76659915ebb01c25ULL, 0x650eca163f3320e6ULL},
   };
   std::vector<Fixture> fixtures;
