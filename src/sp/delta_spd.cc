@@ -19,11 +19,9 @@ DeltaSpd::DeltaSpd(const CsrGraph& graph, SpdOptions options)
   dag_.sigma.assign(n, 0);
   dag_.order.reserve(n);
   dag_.weighted = true;
-  // Every SPD edge is a distinct in-arc, so the in-arc count bounds a
-  // pass' edges, and a parent list can never outgrow its vertex'
-  // in-degree: the graph's in-CSR offsets ARE the lists' begin offsets
-  // (on undirected graphs the in-CSR aliases the out-CSR).
-  dag_.edges.resize(graph.raw_in_adjacency().size());
+  // A parent reaches v over an in-edge, so v's parent list can never
+  // outgrow its in-degree: the graph's in-CSR offsets ARE the lists' begin
+  // offsets (on undirected graphs the in-CSR aliases the out-CSR).
   dag_.parent_run.assign(n, 0);
   pred_begin_ = graph.raw_in_offsets().data();
   pred_count_.assign(n, 0);
@@ -115,8 +113,8 @@ void DeltaSpd::Run(VertexId source) {
   }
   dag_.order.clear();
   dag_.level_offsets.clear();
+  dag_.edges.clear();
   dag_.edge_offsets.clear();
-  std::size_t num_edges = 0;
   dag_.source = source;
   last_stats_ = Stats();
   max_bucket_ = 0;
@@ -187,12 +185,12 @@ void DeltaSpd::Run(VertexId source) {
     dag_.order.insert(dag_.order.end(), wave_.begin(), wave_.end());
     // The wave's edge slice, child-major: a settled vertex gains no more
     // parents, so each member's list is final and becomes its run.
-    dag_.edge_offsets.push_back(num_edges);
+    dag_.edge_offsets.push_back(dag_.edges.size());
     for (VertexId v : wave_) {
-      dag_.parent_run[v] = num_edges;
+      dag_.parent_run[v] = dag_.edges.size();
       const VertexId* parents = pred_storage_.data() + pred_begin_[v];
       for (std::uint32_t i = 0; i < pred_count_[v]; ++i) {
-        dag_.edges[num_edges++] = {parents[i], v};
+        dag_.edges.push_back({parents[i], v});
       }
     }
 
@@ -206,7 +204,7 @@ void DeltaSpd::Run(VertexId source) {
     }
   }
   dag_.level_offsets.push_back(dag_.order.size());
-  dag_.edge_offsets.push_back(num_edges);
+  dag_.edge_offsets.push_back(dag_.edges.size());
 
   total_stats_.edges_examined += last_stats_.edges_examined;
   total_stats_.bucket_entries_scanned += last_stats_.bucket_entries_scanned;

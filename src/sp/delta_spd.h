@@ -81,10 +81,11 @@ class ThreadPool;
 /// Weighted ties cannot be re-derived from distances, so the engine keeps
 /// per-vertex parent lists while a pass runs (private scratch in in-CSR
 /// capacity layout) and copies each list into the DAG as the vertex'
-/// parent run when its wave settles. Run(source) allocates nothing after
-/// the first call. The engine is not reentrant — one Run at a time; with
-/// num_threads > 1 a Run fans wave relaxations out over an owned worker
-/// pool, which callers share for the fused sweep via intra_pool().
+/// parent run when its wave settles. Run(source) reuses its arrays across
+/// passes, allocating only while they grow to the largest pass seen. The
+/// engine is not reentrant — one Run at a time; with num_threads > 1 a Run
+/// fans wave relaxations out over an owned worker pool, which callers
+/// share for the fused sweep via intra_pool().
 class DeltaSpd {
  public:
   /// Work counters of one pass (and totals across passes). "Edges

@@ -14,10 +14,9 @@ DijkstraSpd::DijkstraSpd(const CsrGraph& graph, double tie_epsilon)
   dag_.sigma.assign(n, 0);
   dag_.order.reserve(n);
   dag_.weighted = true;
-  // Every SPD edge is a distinct in-arc, and a parent list can never
-  // outgrow its vertex' in-degree: the graph's in-CSR offsets ARE the
-  // lists' begin offsets (they alias the out-CSR on undirected graphs).
-  dag_.edges.resize(graph.raw_in_adjacency().size());
+  // A parent reaches v over an in-edge, so v's parent list can never
+  // outgrow its in-degree: the graph's in-CSR offsets ARE the lists' begin
+  // offsets (they alias the out-CSR on undirected graphs).
   dag_.parent_run.assign(n, 0);
   pred_begin_ = graph.raw_in_offsets().data();
   pred_count_.assign(n, 0);
@@ -41,8 +40,8 @@ void DijkstraSpd::Run(VertexId source) {
   }
   dag_.order.clear();
   dag_.level_offsets.clear();
+  dag_.edges.clear();
   dag_.edge_offsets.clear();
-  std::size_t num_edges = 0;
   dag_.source = source;
 
   using HeapEntry = std::pair<double, VertexId>;  // (dist, vertex)
@@ -62,11 +61,11 @@ void DijkstraSpd::Run(VertexId source) {
     // its list is final and becomes its run: the level's edge slice.
     dag_.level_offsets.push_back(dag_.order.size());
     dag_.order.push_back(u);
-    dag_.edge_offsets.push_back(num_edges);
-    dag_.parent_run[u] = num_edges;
+    dag_.edge_offsets.push_back(dag_.edges.size());
+    dag_.parent_run[u] = dag_.edges.size();
     const VertexId* parents = pred_storage_.data() + pred_begin_[u];
     for (std::uint32_t i = 0; i < pred_count_[u]; ++i) {
-      dag_.edges[num_edges++] = {parents[i], u};
+      dag_.edges.push_back({parents[i], u});
     }
     const auto nbrs = graph_->neighbors(u);
     const auto wts = graph_->weights(u);
@@ -94,7 +93,7 @@ void DijkstraSpd::Run(VertexId source) {
     }
   }
   dag_.level_offsets.push_back(dag_.order.size());
-  dag_.edge_offsets.push_back(num_edges);
+  dag_.edge_offsets.push_back(dag_.edges.size());
 }
 
 }  // namespace mhbc

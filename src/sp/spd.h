@@ -146,9 +146,11 @@ struct ShortestPathDag {
   /// found them, so they agree across kernels as sets, not sequences.
   /// Weighted slices are child-major: each child in canonical order, then
   /// its parents in relaxation order, which makes a child's parents one
-  /// contiguous run (see parent_run). `edges` is sized to the graph's
-  /// in-arc count (every SPD edge is a distinct in-arc, so any pass fits),
-  /// and only its first edge_offsets.back() entries are meaningful.
+  /// contiguous run (see parent_run). BfsSpd sizes `edges` to the graph's
+  /// in-arc count (every SPD edge is a distinct in-arc, so any pass fits;
+  /// its bottom-up scan stores speculatively past the edges kept), and the
+  /// weighted engines append, keeping capacity across passes. Either way
+  /// only the first edge_offsets.back() entries are meaningful.
   std::vector<SpdEdge> edges;
   std::vector<std::size_t> edge_offsets;
   /// Weighted passes: the index in `edges` where reached vertex v's run of
