@@ -188,10 +188,11 @@ void BetweennessEngine::EnsureShards() {
   // Shards are the parallel axis of a fan-out; their passes must stay
   // sequential or the pool would be oversubscribed num_threads-fold.
   shard_options.spd.num_threads = 1;
+  const std::shared_ptr<DependencyMemo>& memo = oracle()->memo();
   shards_.reserve(pool()->num_threads());
   for (unsigned w = 0; w < pool()->num_threads(); ++w) {
-    shards_.push_back(std::make_unique<BetweennessEngine>(
-        *graph_, shard_options, oracle()->memo()));
+    shards_.push_back(
+        std::make_unique<BetweennessEngine>(*graph_, shard_options, memo));
   }
 }
 

@@ -22,8 +22,8 @@ namespace mhbc {
 /// reverse settle order. Shortest-path ties under floating-point addition
 /// cannot be re-derived from distances alone, so the engine keeps
 /// per-vertex parent lists while a pass runs (private scratch in in-CSR
-/// capacity layout, no per-pass allocation) and copies each into the DAG
-/// as the vertex' level slice when it settles.
+/// capacity layout) and copies each into the DAG as the vertex' level
+/// slice when it settles.
 class DijkstraSpd {
  public:
   /// The graph must be weighted with positive weights and outlive the
