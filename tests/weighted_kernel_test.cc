@@ -93,7 +93,8 @@ void ExpectPredsIdentical(const ShortestPathDag& a,
 std::vector<VertexId> ParentsOf(const ShortestPathDag& dag,
                                 const CsrGraph& graph, VertexId v) {
   std::vector<VertexId> parents;
-  ForEachParent(dag, graph, v, [&parents](VertexId u) { parents.push_back(u); });
+  ForEachParent(dag, graph, v,
+                [&parents](VertexId u) { parents.push_back(u); });
   return parents;
 }
 
