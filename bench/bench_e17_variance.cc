@@ -32,7 +32,7 @@ int main() {
       const double n = static_cast<double>(graph.num_vertices());
       const double bc = total / (n * (n - 1.0));
 
-      const auto dist = BfsDistances(graph, r);
+      const auto dist = BfsDistancesTo(graph, r);
       std::vector<double> weights(profile.size(), 0.0);
       for (VertexId v = 0; v < graph.num_vertices(); ++v) {
         if (v != r && dist[v] != kUnreachedDistance) {

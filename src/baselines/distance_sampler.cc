@@ -12,14 +12,12 @@ void DistanceProportionalSampler::PrepareTarget(VertexId r) {
   std::vector<double> weights(n, 0.0);
   // Distances *to* r: only sources that reach r depend on it.
   if (graph_->weighted()) {
-    const std::vector<double> dist =
-        DijkstraDistances(*graph_, r, /*reverse=*/true);
+    const std::vector<double> dist = DijkstraDistancesTo(*graph_, r);
     for (VertexId v = 0; v < n; ++v) {
       if (v != r && dist[v] > 0.0) weights[v] = dist[v];
     }
   } else {
-    const std::vector<std::uint32_t> dist =
-        BfsDistances(*graph_, r, /*reverse=*/true);
+    const std::vector<std::uint32_t> dist = BfsDistancesTo(*graph_, r);
     for (VertexId v = 0; v < n; ++v) {
       if (v != r && dist[v] != kUnreachedDistance) {
         weights[v] = static_cast<double>(dist[v]);

@@ -5,18 +5,18 @@
 
 namespace mhbc {
 
-std::vector<std::uint32_t> BfsDistances(const CsrGraph& graph,
-                                        VertexId source, bool reverse) {
-  MHBC_DCHECK(source < graph.num_vertices());
+std::vector<std::uint32_t> BfsDistancesTo(const CsrGraph& graph,
+                                          VertexId target) {
+  MHBC_DCHECK(target < graph.num_vertices());
   std::vector<std::uint32_t> dist(graph.num_vertices(), kUnreachedDistance);
   std::vector<VertexId> queue;
   queue.reserve(graph.num_vertices());
-  queue.push_back(source);
-  dist[source] = 0;
+  queue.push_back(target);
+  dist[target] = 0;
   std::size_t head = 0;
   while (head < queue.size()) {
     const VertexId u = queue[head++];
-    for (VertexId v : reverse ? graph.in_neighbors(u) : graph.neighbors(u)) {
+    for (VertexId v : graph.in_neighbors(u)) {
       if (dist[v] == kUnreachedDistance) {
         dist[v] = dist[u] + 1;
         queue.push_back(v);
@@ -26,23 +26,23 @@ std::vector<std::uint32_t> BfsDistances(const CsrGraph& graph,
   return dist;
 }
 
-std::vector<double> DijkstraDistances(const CsrGraph& graph, VertexId source,
-                                      bool reverse) {
-  MHBC_DCHECK(source < graph.num_vertices());
+std::vector<double> DijkstraDistancesTo(const CsrGraph& graph,
+                                        VertexId target) {
+  MHBC_DCHECK(target < graph.num_vertices());
   const VertexId n = graph.num_vertices();
   std::vector<double> dist(n, -1.0);
   std::vector<char> settled(n, 0);
   using HeapEntry = std::pair<double, VertexId>;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
-  dist[source] = 0.0;
-  heap.emplace(0.0, source);
+  dist[target] = 0.0;
+  heap.emplace(0.0, target);
   while (!heap.empty()) {
     const auto [du, u] = heap.top();
     heap.pop();
     if (settled[u]) continue;
     settled[u] = 1;
-    const auto nbrs = reverse ? graph.in_neighbors(u) : graph.neighbors(u);
-    const auto wts = reverse ? graph.in_weights(u) : graph.weights(u);
+    const auto nbrs = graph.in_neighbors(u);
+    const auto wts = graph.in_weights(u);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId v = nbrs[i];
       if (settled[v]) continue;

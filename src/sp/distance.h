@@ -7,20 +7,22 @@
 /// \file
 /// Plain distance computations (no sigma counting), for the
 /// distance-proportional baseline sampler [13] and the harnesses.
+///
+/// Both passes follow in-edges, so they measure distances *to* `target`:
+/// the sampler weighs a source by how far it must travel to the target.
+/// On undirected graphs the in-CSR aliases the out-CSR, and these are
+/// the distances from `target`.
 
 namespace mhbc {
 
-/// Hop distances from `source` (kUnreachedDistance where unreachable).
-/// With `reverse` the pass follows in-edges, so dist[v] is the distance
-/// from v *to* `source` (the same as forward on undirected graphs).
-std::vector<std::uint32_t> BfsDistances(const CsrGraph& graph,
-                                        VertexId source,
-                                        bool reverse = false);
+/// Hop distances d(v, target) (kUnreachedDistance where v cannot reach
+/// `target`).
+std::vector<std::uint32_t> BfsDistancesTo(const CsrGraph& graph,
+                                          VertexId target);
 
-/// Weighted distances from `source` (negative where unreachable), or to
-/// it with `reverse`, as for BfsDistances. Works on unweighted graphs too
-/// (all weights 1).
-std::vector<double> DijkstraDistances(const CsrGraph& graph, VertexId source,
-                                      bool reverse = false);
+/// Weighted distances d(v, target) (negative where v cannot reach
+/// `target`). Works on unweighted graphs too (all weights 1).
+std::vector<double> DijkstraDistancesTo(const CsrGraph& graph,
+                                        VertexId target);
 
 }  // namespace mhbc

@@ -38,7 +38,7 @@ TEST_P(BrandesPropertyTest, TotalRawEqualsInteriorVertexCount) {
   for (double s : raw) total += s;
   double expected = 0.0;
   for (VertexId s = 0; s < g.num_vertices(); ++s) {
-    const auto dist = BfsDistances(g, s);
+    const auto dist = BfsDistancesTo(g, s);
     for (VertexId t = 0; t < g.num_vertices(); ++t) {
       if (t == s || dist[t] == kUnreachedDistance) continue;
       expected += static_cast<double>(dist[t]) - 1.0;

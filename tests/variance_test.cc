@@ -41,7 +41,7 @@ TEST(VarianceTest, OptimalNeverWorseThanUniformOrDistance) {
   const CsrGraph g = MakeConnectedCaveman(4, 8);
   for (VertexId r : {VertexId{7}, VertexId{15}, VertexId{0}}) {
     const auto profile = DependencyProfile(g, r);
-    const auto dist = BfsDistances(g, r);
+    const auto dist = BfsDistancesTo(g, r);
     std::vector<double> weights(profile.size(), 0.0);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       if (v != r) weights[v] = static_cast<double>(dist[v]);
