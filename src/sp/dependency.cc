@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "sp/bfs_spd.h"
 #include "util/thread_pool.h"
 
 namespace mhbc {
@@ -101,21 +102,6 @@ void DependencyAccumulator::FoldBuckets() {
         }
       },
       [](std::size_t) {});
-}
-
-const std::vector<double>& DependencyAccumulator::Accumulate(
-    const BfsSpd& bfs) {
-  return Accumulate(bfs.dag());
-}
-
-const std::vector<double>& DependencyAccumulator::Accumulate(
-    const DeltaSpd& delta) {
-  return Accumulate(delta.dag());
-}
-
-const std::vector<double>& DependencyAccumulator::Accumulate(
-    const DijkstraSpd& dijkstra) {
-  return Accumulate(dijkstra.dag());
 }
 
 namespace {

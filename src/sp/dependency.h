@@ -3,9 +3,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "sp/bfs_spd.h"
-#include "sp/delta_spd.h"
-#include "sp/dijkstra_spd.h"
+#include "sp/spd.h"
 
 /// \file
 /// Brandes dependency accumulation over a shortest-path DAG.
@@ -63,10 +61,12 @@ class DependencyAccumulator {
   /// call.
   const std::vector<double>& Accumulate(const ShortestPathDag& dag);
 
-  /// Convenience overloads for the engines.
-  const std::vector<double>& Accumulate(const BfsSpd& bfs);
-  const std::vector<double>& Accumulate(const DeltaSpd& delta);
-  const std::vector<double>& Accumulate(const DijkstraSpd& dijkstra);
+  /// Accumulates the last pass of a pass engine (BfsSpd, DeltaSpd,
+  /// DijkstraSpd): the same sweep over `spd.dag()`.
+  template <typename Spd>
+  const std::vector<double>& Accumulate(const Spd& spd) {
+    return Accumulate(spd.dag());
+  }
 
   /// Dependency of the last pass' source on v (0 for unreached vertices and
   /// for the source itself).

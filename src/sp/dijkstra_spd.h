@@ -42,13 +42,6 @@ class DijkstraSpd {
   /// `dag().dist` is not populated.
   const ShortestPathDag& dag() const { return dag_; }
 
-  /// Predecessors of v in the SPD of the last Run, in settle order — the
-  /// parents of v's run in dag().edges.
-  std::span<const VertexId> predecessors(VertexId v) const {
-    MHBC_DCHECK(v < graph_->num_vertices());
-    return {pred_storage_.data() + pred_begin_[v], pred_count_[v]};
-  }
-
   const CsrGraph& graph() const { return *graph_; }
 
  private:

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "sp/bfs_spd.h"
+#include "sp/dijkstra_spd.h"
 #include "util/rng.h"
 
 namespace mhbc {
