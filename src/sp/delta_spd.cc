@@ -19,10 +19,14 @@ DeltaSpd::DeltaSpd(const CsrGraph& graph, SpdOptions options)
   dag_.sigma.assign(n, 0);
   dag_.order.reserve(n);
   dag_.weighted = true;
+  // parent_run indexes edges in 32 bits: a pass records at most one SPD
+  // edge per in-arc.
+  MHBC_DCHECK(graph.raw_in_adjacency().size() <=
+              std::numeric_limits<std::uint32_t>::max());
+  dag_.parent_run.assign(n, 0);
   // A parent reaches v over an in-edge, so v's parent list can never
   // outgrow its in-degree: the graph's in-CSR offsets ARE the lists' begin
   // offsets (on undirected graphs the in-CSR aliases the out-CSR).
-  dag_.parent_run.assign(n, 0);
   pred_begin_ = graph.raw_in_offsets().data();
   pred_count_.assign(n, 0);
   pred_storage_.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
@@ -187,7 +191,7 @@ void DeltaSpd::Run(VertexId source) {
     // parents, so each member's list is final and becomes its run.
     dag_.edge_offsets.push_back(dag_.edges.size());
     for (VertexId v : wave_) {
-      dag_.parent_run[v] = dag_.edges.size();
+      dag_.parent_run[v] = static_cast<std::uint32_t>(dag_.edges.size());
       const VertexId* parents = pred_storage_.data() + pred_begin_[v];
       for (std::uint32_t i = 0; i < pred_count_[v]; ++i) {
         dag_.edges.push_back({parents[i], v});

@@ -1,6 +1,7 @@
 #include "sp/dijkstra_spd.h"
 
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <utility>
 
@@ -14,10 +15,14 @@ DijkstraSpd::DijkstraSpd(const CsrGraph& graph, double tie_epsilon)
   dag_.sigma.assign(n, 0);
   dag_.order.reserve(n);
   dag_.weighted = true;
+  // parent_run indexes edges in 32 bits: a pass records at most one SPD
+  // edge per in-arc.
+  MHBC_DCHECK(graph.raw_in_adjacency().size() <=
+              std::numeric_limits<std::uint32_t>::max());
+  dag_.parent_run.assign(n, 0);
   // A parent reaches v over an in-edge, so v's parent list can never
   // outgrow its in-degree: the graph's in-CSR offsets ARE the lists' begin
   // offsets (they alias the out-CSR on undirected graphs).
-  dag_.parent_run.assign(n, 0);
   pred_begin_ = graph.raw_in_offsets().data();
   pred_count_.assign(n, 0);
   pred_storage_.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
@@ -62,7 +67,7 @@ void DijkstraSpd::Run(VertexId source) {
     dag_.level_offsets.push_back(dag_.order.size());
     dag_.order.push_back(u);
     dag_.edge_offsets.push_back(dag_.edges.size());
-    dag_.parent_run[u] = dag_.edges.size();
+    dag_.parent_run[u] = static_cast<std::uint32_t>(dag_.edges.size());
     const VertexId* parents = pred_storage_.data() + pred_begin_[u];
     for (std::uint32_t i = 0; i < pred_count_[u]; ++i) {
       dag_.edges.push_back({parents[i], u});

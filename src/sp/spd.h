@@ -155,9 +155,10 @@ struct ShortestPathDag {
   std::vector<std::size_t> edge_offsets;
   /// Weighted passes: the index in `edges` where reached vertex v's run of
   /// parent edges starts; the run goes on while the child is v (see
-  /// ForEachParent). Empty on BFS passes, which re-derive parents from
-  /// dist.
-  std::vector<std::size_t> parent_run;
+  /// ForEachParent). 32 bits suffice: a pass records at most one edge per
+  /// in-arc, and the weighted engines check that the in-arc count fits.
+  /// Empty on BFS passes, which re-derive parents from dist.
+  std::vector<std::uint32_t> parent_run;
   /// The source of the pass.
   VertexId source = kInvalidVertex;
   /// True if the pass used edge weights.
