@@ -12,8 +12,10 @@
 #include "centrality/engine.h"
 #include "exact/dependency_oracle.h"
 #include "core/joint_space.h"
+#include "datasets/registry.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "sp/delta_spd.h"
 #include "sp/dependency.h"
 #include "sp/dijkstra_spd.h"
 
@@ -26,7 +28,9 @@
 /// report fields of one analyst session, and every registry estimator
 /// served through one engine at two budgets, and the dependency and RK
 /// credit vectors of weighted passes (DeltaSpd, sequential and sharded,
-/// and the DijkstraSpd reference). A speed change to the SPD
+/// and the DijkstraSpd reference), including graphs shaped to reach the
+/// weighted queue's rarer paths and path lengths at the tie-epsilon
+/// boundary. A speed change to the SPD
 /// kernels or the backward sweep must leave every digest unchanged; a
 /// change that means to move results updates the constants and says why.
 
@@ -76,11 +80,10 @@ std::vector<Fixture> Fixtures() {
   return fixtures;
 }
 
-std::vector<VertexId> Sources(VertexId n) {
+std::vector<VertexId> Sources(VertexId n, std::size_t count = kSources) {
   std::vector<VertexId> sources;
-  for (std::size_t i = 0; i < kSources; ++i) {
-    sources.push_back(
-        static_cast<VertexId>((std::uint64_t{n} * i) / kSources));
+  for (std::size_t i = 0; i < count; ++i) {
+    sources.push_back(static_cast<VertexId>((std::uint64_t{n} * i) / count));
   }
   return sources;
 }
@@ -260,6 +263,126 @@ TEST(PassDigestTest, WeightedRkCreditVectors) {
       EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
           << fixtures[f].name << " " << config;
     }
+  }
+}
+
+/// A weight-1 path 0 - 1 - ... - (path_len - 1) from the source, plus
+/// `spokes` vertices hung off vertex 0 by weight-4000 edges and paired
+/// by weight-1 edges. The path settles one vertex per wave while every
+/// spoke waits at distance 4000, far past the path's window.
+CsrGraph HeavySpoke(VertexId path_len, VertexId spokes) {
+  GraphBuilder builder(path_len + spokes);
+  for (VertexId v = 1; v < path_len; ++v) {
+    builder.AddWeightedEdge(v - 1, v, 1.0);
+  }
+  for (VertexId i = 0; i < spokes; ++i) {
+    builder.AddWeightedEdge(0, path_len + i, 4000.0);
+    if (i % 2 == 1) {
+      builder.AddWeightedEdge(path_len + i - 1, path_len + i, 1.0);
+    }
+  }
+  return std::move(builder.Build()).value();
+}
+
+/// Graphs whose waves reach the kernel's less common paths: waves of
+/// ~110 members (email-like-1k at [1,3]), entries that wait far past
+/// the wave window (BA at [1,1000]) and one heavy-spoke graph.
+std::vector<Fixture> WaveFixtures() {
+  std::vector<Fixture> fixtures;
+  fixtures.push_back(
+      {"email-like-1k-w3",
+       AssignUniformWeights(MakeDataset("email-like-1k").value(), 1.0, 3.0,
+                            0xE24)});
+  fixtures.push_back(
+      {"ba-2000-w1000",
+       AssignUniformWeights(MakeBarabasiAlbert(2000, 3, 0xBA2), 1.0, 1000.0,
+                            0xBA3)});
+  fixtures.push_back({"heavy-spoke-500-4000", HeavySpoke(500, 4000)});
+  return fixtures;
+}
+
+TEST(PassDigestTest, WeightedWaveShapes) {
+  // 16 sources each: at grain 0 every one of heavy-spoke's ~500 waves per
+  // pass crosses two pool barriers.
+  const std::uint64_t expected[] = {0xbd129ad3b225f7d7ULL,
+                                    0xc5f74951729f7a3cULL,
+                                    0xf736e1f753396556ULL};
+  const std::vector<Fixture> fixtures = WaveFixtures();
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    const CsrGraph& g = fixtures[f].graph;
+    for (const auto& [config, spd] : WeightedConfigs()) {
+      DependencyOracle oracle(g, spd);
+      Fnv1a digest;
+      for (VertexId s : Sources(g.num_vertices(), 16)) {
+        digest.AddAll(oracle.Dependencies(s));
+      }
+      EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
+          << fixtures[f].name << " " << config;
+    }
+  }
+}
+
+TEST(PassDigestTest, HeavySpokeScanStaysLinear) {
+  // From the hub, the path takes 500 one-vertex waves while 4000 spokes
+  // wait at distance 4000. A queue that rescanned every waiting entry on
+  // each wave would visit ~2,000,000 entries; a pass must stay within one
+  // visit per vertex and arc.
+  const CsrGraph g = HeavySpoke(500, 4000);
+  const std::uint64_t bound = g.num_vertices() + g.raw_adjacency().size();
+  ASSERT_EQ(bound, 17498u);
+  DeltaSpd spd(g);
+  spd.Run(0);
+  EXPECT_EQ(spd.dag().num_reached(), g.num_vertices());
+  EXPECT_LE(spd.last_stats().bucket_entries_scanned, bound);
+}
+
+/// Source 0 reaches four relays a1..a4 (ids 1..4, distances 10..40) and
+/// every relay reaches each of eight targets b1..b8 (ids 5..12) over
+/// paths of length about 1000. Target j's path through relay i is
+/// 1000 * (1 + f[j][i] * eps), eps = kDefaultTieEpsilon: offsets of
+/// 0.5 eps tie, offsets of 2 eps do not, and some rows improve strictly
+/// after a tie or drop a parent that would tie the final distance. The
+/// targets feed a sink chain 13 - 14 so they carry dependency.
+CsrGraph NearTieGraph() {
+  constexpr double kOffsets[8][4] = {
+      {0.0, 0.5, 2.0, -0.5},  {0.0, -2.0, 0.5, 0.0},
+      {0.0, -1.5, -0.8, 0.5}, {0.6, 0.0, -0.6, 1.2},
+      {0.0, 0.9, 1.8, 0.45},  {0.0, 0.0, 0.0, 0.0},
+      {2.0, 0.5, 1.0, -1.0},  {0.5, 1.0, 1.4, 2.6},
+  };
+  constexpr double kLength = 1000.0;
+  GraphBuilder builder(15);
+  for (VertexId i = 1; i <= 4; ++i) {
+    builder.AddWeightedEdge(0, i, 10.0 * i);
+  }
+  for (VertexId j = 0; j < 8; ++j) {
+    for (VertexId i = 1; i <= 4; ++i) {
+      builder.AddWeightedEdge(
+          i, 5 + j,
+          (kLength - 10.0 * i) +
+              kOffsets[j][i - 1] * kDefaultTieEpsilon * kLength);
+    }
+    builder.AddWeightedEdge(5 + j, 13, 1.0 + j / 100.0);
+  }
+  builder.AddWeightedEdge(13, 14, 1.0);
+  return std::move(builder.Build()).value();
+}
+
+TEST(PassDigestTest, NearTiesAtTheEpsilonBoundary) {
+  const std::uint64_t expected_dependencies = 0x9c9dadc094670be6ULL;
+  const std::uint64_t expected_rk = 0xaae25c1e064ef5edULL;
+  const CsrGraph g = NearTieGraph();
+  for (const auto& [config, spd] : WeightedConfigs()) {
+    DependencyOracle oracle(g, spd);
+    Fnv1a digest;
+    for (VertexId s = 0; s < g.num_vertices(); ++s) {
+      digest.AddAll(oracle.Dependencies(s));
+    }
+    EXPECT_EQ(Hex(digest.value()), Hex(expected_dependencies)) << config;
+    RkSampler rk(g, /*seed=*/0x4B, &oracle);
+    Fnv1a rk_digest;
+    rk_digest.AddAll(rk.EstimateAll(256));
+    EXPECT_EQ(Hex(rk_digest.value()), Hex(expected_rk)) << config;
   }
 }
 
