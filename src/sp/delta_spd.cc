@@ -30,8 +30,7 @@ DeltaSpd::DeltaSpd(const CsrGraph& graph, SpdOptions options)
   pred_begin_ = graph.raw_in_offsets().data();
   pred_count_.assign(n, 0);
   pred_storage_.assign(graph.raw_in_adjacency().size(), kInvalidVertex);
-  settled_.assign(n, 0);
-  wave_.reserve(n);
+  state_.assign(n, kWaiting);
 
   // Per-vertex settle slack minw(v) and the window span max_v minw(v) —
   // both pure functions of the graph, fixed for the engine's lifetime.
@@ -60,6 +59,7 @@ DeltaSpd::DeltaSpd(const CsrGraph& graph, SpdOptions options)
                   : weights.empty()
                       ? 1.0
                       : weight_sum / static_cast<double>(weights.size());
+  inv_width_ = 1.0 / bucket_width_;
 
   // num_threads == 0 means "inherit": standalone construction has nothing
   // to inherit from, so it stays sequential; an owning engine substitutes
@@ -79,21 +79,49 @@ bool DeltaSpd::Equal(double a, double b) const {
 void DeltaSpd::PushBucket(std::size_t bucket, VertexId v) {
   if (bucket >= buckets_.size()) buckets_.resize(bucket + 1);
   buckets_[bucket].push_back(v);
-  max_bucket_ = std::max(max_bucket_, bucket);
+  bucket_end_ = std::max(bucket_end_, bucket + 1);
 }
 
-template <typename Push>
+void DeltaSpd::PullBucket(std::size_t b) {
+  std::vector<VertexId>& bucket = buckets_[b];
+  last_stats_.entries_scanned += bucket.size();
+  for (VertexId v : bucket) {
+    if (state_[v] != kWaiting) continue;  // stale: pulled or placed nearer
+    MHBC_DCHECK(BucketOf(dag_.wdist[v]) == b);
+    state_[v] = kNear;
+    near_.push_back(v);
+    near_min_ = std::min(near_min_, dag_.wdist[v]);
+  }
+  bucket.clear();
+}
+
+void DeltaSpd::Place(double candidate, VertexId v) {
+  if (state_[v] == kNear) {  // an improvement never leaves the list
+    near_min_ = std::min(near_min_, candidate);
+    return;
+  }
+  const std::size_t bucket = BucketOf(candidate);
+  if (bucket < horizon_) {
+    state_[v] = kNear;
+    near_.push_back(v);
+    near_min_ = std::min(near_min_, candidate);
+  } else {
+    PushBucket(bucket, v);
+  }
+}
+
+template <typename Improved>
 void DeltaSpd::RelaxCandidate(VertexId u, VertexId v, double candidate,
-                              Push&& push) {
+                              Improved&& improved) {
   const double current = dag_.wdist[v];
   if (current < 0.0 ||
       candidate < current - options_.tie_epsilon * candidate) {
-    // Strict improvement: reset predecessor set, re-bucket v.
+    // Strict improvement: reset predecessor set, re-queue v.
     dag_.wdist[v] = candidate;
     dag_.sigma[v] = dag_.sigma[u];
     pred_count_[v] = 1;
     pred_storage_[pred_begin_[v]] = u;
-    push(BucketOf(candidate), v);
+    improved(candidate, v);
   } else if (Equal(candidate, current)) {
     // Tie: u is an additional predecessor (each directed edge relaxes at
     // most once per pass — when u settles — so no duplicate check).
@@ -104,16 +132,67 @@ void DeltaSpd::RelaxCandidate(VertexId u, VertexId v, double candidate,
   }
 }
 
+void DeltaSpd::SortWave(std::span<WaveKey> wave, double lo) {
+  const auto less = [](const WaveKey& a, const WaveKey& b) {
+    return a.wdist < b.wdist || (a.wdist == b.wdist && a.v < b.v);
+  };
+  // Insertion-sorts `from` into `wave` (the two may be the same array):
+  // cheap when every key starts near its place.
+  const auto insert_all = [&](std::span<const WaveKey> from) {
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      const WaveKey key = from[i];
+      std::size_t j = i;
+      for (; j > 0 && less(key, wave[j - 1]); --j) wave[j] = wave[j - 1];
+      wave[j] = key;
+    }
+  };
+  const std::size_t m = wave.size();
+  if (m < kDistributeMin) {
+    insert_all(wave);
+    return;
+  }
+  // Distribute the keys over m equal slots of [lo, hi] by wdist, then
+  // insertion-sort the slot-ordered keys. The slot map is monotone in
+  // wdist, so no key has to pass one from an earlier slot, and a wave's
+  // distances spread evenly enough that a slot holds a key or two. When
+  // they clump (integer weights tie exactly), std::sort takes over.
+  double hi = lo;
+  for (const WaveKey& key : wave) hi = std::max(hi, key.wdist);
+  if (hi > lo) {
+    const double scale = static_cast<double>(m) / (hi - lo);
+    const auto slot = [&](double wdist) {
+      return std::min(static_cast<std::size_t>((wdist - lo) * scale), m - 1);
+    };
+    slot_starts_.assign(m + 1, 0);
+    std::uint32_t fullest = 0;
+    for (const WaveKey& key : wave) {
+      fullest = std::max(fullest, ++slot_starts_[slot(key.wdist) + 1]);
+    }
+    if (fullest <= kSlotSortMax) {
+      for (std::size_t b = 1; b <= m; ++b) {
+        slot_starts_[b] += slot_starts_[b - 1];
+      }
+      if (slotted_.size() < m) slotted_.resize(m);
+      for (const WaveKey& key : wave) {
+        slotted_[slot_starts_[slot(key.wdist)]++] = key;
+      }
+      insert_all(std::span<const WaveKey>(slotted_.data(), m));
+      return;
+    }
+  }
+  std::sort(wave.begin(), wave.end(), less);
+}
+
 void DeltaSpd::Run(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
   // Reset only what the previous pass touched. Every reached vertex
-  // settled (the wave loop drains all buckets), so the previous order is
-  // the complete touched set and all buckets are already empty.
+  // settled (the wave loop drains the near list and every bucket), so
+  // the previous order is the complete touched set.
   for (VertexId v : dag_.order) {
     dag_.wdist[v] = -1.0;
     dag_.sigma[v] = 0;
     pred_count_[v] = 0;
-    settled_[v] = 0;
+    state_[v] = kWaiting;
   }
   dag_.order.clear();
   dag_.level_offsets.clear();
@@ -121,76 +200,78 @@ void DeltaSpd::Run(VertexId source) {
   dag_.edge_offsets.clear();
   dag_.source = source;
   last_stats_ = Stats();
-  max_bucket_ = 0;
+  bucket_end_ = 0;
 
   dag_.wdist[source] = 0.0;
   dag_.sigma[source] = 1;
-  PushBucket(0, source);
+  horizon_ = 1;  // BucketOf(0) == 0
+  near_.assign(1, source);
+  near_min_ = 0.0;
+  state_[source] = kNear;
 
-  std::size_t cur = 0;
-  while (cur <= max_bucket_) {
-    // Compact the head bucket — drop settled and stale entries (an entry
-    // is live only while its vertex' tentative distance still maps here;
-    // every improvement pushed an entry to the new bucket) — and find
-    // d_min. Monotone BucketOf means the first non-empty compacted bucket
-    // holds the global minimum tentative distance.
-    std::vector<VertexId>& head = buckets_[cur];
-    std::size_t keep = 0;
-    double d_min = std::numeric_limits<double>::infinity();
-    last_stats_.bucket_entries_scanned += head.size();
-    for (VertexId v : head) {
-      if (settled_[v] || BucketOf(dag_.wdist[v]) != cur) continue;
-      head[keep++] = v;
-      d_min = std::min(d_min, dag_.wdist[v]);
-    }
-    head.resize(keep);
-    if (keep == 0) {
-      ++cur;
-      continue;
-    }
+  for (;;) {
+    // Past the near list, the lowest non-empty bucket holds the nearest
+    // waiting vertices.
+    while (near_.empty() && horizon_ < bucket_end_) PullBucket(horizon_++);
+    if (near_.empty()) break;
 
-    // Wave selection over the window of buckets that can hold members:
-    // wdist(v) < d_min + minw(v) <= d_min + max_min_incident_, and
-    // BucketOf is monotone. Qualifying vertices settle immediately (which
-    // also dedups repeated lazy entries); the rest stay bucketed.
-    const std::size_t window_end =
-        std::min(BucketOf(d_min + max_min_incident_), max_bucket_);
-    wave_.clear();
-    std::uint64_t wave_edges = 0;
-    for (std::size_t b = cur; b <= window_end; ++b) {
-      std::vector<VertexId>& bucket = buckets_[b];
-      if (bucket.empty()) continue;
-      last_stats_.bucket_entries_scanned += bucket.size();
-      std::size_t retained = 0;
-      for (VertexId v : bucket) {
-        if (settled_[v] || BucketOf(dag_.wdist[v]) != b) continue;
-        if (dag_.wdist[v] < d_min + min_incident_[v]) {
-          settled_[v] = 1;
-          wave_.push_back(v);
-          wave_edges += graph_->degree(v);
-        } else {
-          bucket[retained++] = v;
-        }
-      }
-      bucket.resize(retained);
+    // Every waiting vertex sits in a bucket at or past the horizon, above
+    // every near vertex's, so the near list holds the global minimum.
+    const double d_min = near_min_;
+    // Wave members satisfy wdist(v) < d_min + minw(v) <= d_min +
+    // max_min_incident_, so a horizon past that bucket puts every member
+    // on the near list. The 2x slack lets the horizon, and the bucket
+    // pulls, move once per max_min_incident_ of progress, not every wave.
+    const std::size_t target =
+        BucketOf(d_min + 2.0 * max_min_incident_) + 1;
+    for (; horizon_ < std::min(target, bucket_end_); ++horizon_) {
+      PullBucket(horizon_);
     }
+    horizon_ = std::max(horizon_, target);
+
+    // Split the near list into the wave's (wdist, id) keys and the
+    // vertices that stay, branch-free: both slots are written, and the
+    // member test advances one cursor. The stayers compact in place, and
+    // their minimum restarts near_min_.
+    if (wave_.size() < near_.size()) wave_.resize(near_.size());
+    last_stats_.entries_scanned += near_.size();
+    constexpr double kInfinity = std::numeric_limits<double>::infinity();
+    std::size_t members = 0;
+    std::size_t stayers = 0;
+    double stay_min = kInfinity;
+    for (std::size_t i = 0; i < near_.size(); ++i) {
+      const VertexId v = near_[i];
+      const double d = dag_.wdist[v];
+      const bool member = d < d_min + min_incident_[v];
+      wave_[members] = {d, v};
+      near_[stayers] = v;
+      stay_min = std::min(stay_min, member ? kInfinity : d);
+      members += member ? 1 : 0;
+      stayers += member ? 0 : 1;
+    }
+    near_.resize(stayers);
+    near_min_ = stay_min;
     // The d_min achiever always qualifies (minw > 0), so progress is
     // guaranteed.
-    MHBC_DCHECK(!wave_.empty());
+    MHBC_DCHECK(members > 0);
 
     // Canonicalize the wave: ascending (wdist, id). This fixes the settle
     // order, the per-target relaxation fold order, and the level slice the
-    // backward sweep walks — independent of bucket-scan order.
-    std::sort(wave_.begin(), wave_.end(), [this](VertexId a, VertexId b) {
-      if (dag_.wdist[a] != dag_.wdist[b]) return dag_.wdist[a] < dag_.wdist[b];
-      return a < b;
-    });
+    // backward sweep walks — independent of the near list's order.
+    const std::span<WaveKey> wave(wave_.data(), members);
+    SortWave(wave, d_min);
+
+    // Settle the wave and record it: its level in `order`, and its edge
+    // slice, child-major. A settled vertex gains no more parents, so each
+    // member's list is final and becomes its run.
     dag_.level_offsets.push_back(dag_.order.size());
-    dag_.order.insert(dag_.order.end(), wave_.begin(), wave_.end());
-    // The wave's edge slice, child-major: a settled vertex gains no more
-    // parents, so each member's list is final and becomes its run.
     dag_.edge_offsets.push_back(dag_.edges.size());
-    for (VertexId v : wave_) {
+    std::uint64_t wave_edges = 0;
+    for (const WaveKey& key : wave) {
+      const VertexId v = key.v;
+      state_[v] = kSettled;
+      dag_.order.push_back(v);
+      wave_edges += graph_->degree(v);
       dag_.parent_run[v] = static_cast<std::uint32_t>(dag_.edges.size());
       const VertexId* parents = pred_storage_.data() + pred_begin_[v];
       for (std::uint32_t i = 0; i < pred_count_[v]; ++i) {
@@ -202,38 +283,38 @@ void DeltaSpd::Run(VertexId source) {
     last_stats_.edges_examined += wave_edges;
     if (UseParallel(wave_edges)) {
       ++last_stats_.parallel_waves;
-      RelaxWaveParallel();
+      RelaxWaveParallel(wave);
     } else {
-      RelaxWaveSequential();
+      RelaxWaveSequential(wave);
     }
   }
   dag_.level_offsets.push_back(dag_.order.size());
   dag_.edge_offsets.push_back(dag_.edges.size());
 
   total_stats_.edges_examined += last_stats_.edges_examined;
-  total_stats_.bucket_entries_scanned += last_stats_.bucket_entries_scanned;
+  total_stats_.entries_scanned += last_stats_.entries_scanned;
   total_stats_.waves += last_stats_.waves;
   total_stats_.parallel_waves += last_stats_.parallel_waves;
 }
 
-void DeltaSpd::RelaxWaveSequential() {
-  for (VertexId u : wave_) {
-    const double du = dag_.wdist[u];
+void DeltaSpd::RelaxWaveSequential(std::span<const WaveKey> wave) {
+  for (const WaveKey& key : wave) {
+    const VertexId u = key.v;
     const auto nbrs = graph_->neighbors(u);
     const auto wts = graph_->weights(u);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId v = nbrs[i];
-      if (settled_[v]) continue;
-      RelaxCandidate(u, v, du + wts[i],
-                     [this](std::size_t bucket, VertexId v2) {
-                       PushBucket(bucket, v2);
+      if (state_[v] == kSettled) continue;
+      RelaxCandidate(u, v, key.wdist + wts[i],
+                     [this](double candidate, VertexId v2) {
+                       Place(candidate, v2);
                      });
     }
   }
 }
 
 void DeltaSpd::EnsureParallelScratch() {
-  if (!range_pushes_.empty()) return;
+  if (!range_places_.empty()) return;
   // Same destination-range geometry as BfsSpd::EnsureParallelScratch (a
   // pure function of |V|): one definition of "range of v" across the
   // intra-pass machinery.
@@ -245,36 +326,35 @@ void DeltaSpd::EnsureParallelScratch() {
       6 + static_cast<std::uint32_t>(std::countr_zero(words_per_range));
   num_ranges_ = (n_words + words_per_range - 1) / words_per_range;
   cand_buckets_.resize(kFrontierShards * num_ranges_);
-  range_pushes_.resize(num_ranges_);
+  range_places_.resize(num_ranges_);
 }
 
-void DeltaSpd::RelaxWaveParallel() {
+void DeltaSpd::RelaxWaveParallel(std::span<const WaveKey> wave) {
   EnsureParallelScratch();
   // Phase 1 — fan out over fixed shards of the (sorted) wave: each shard
   // examines its contiguous slice and buckets every candidate relaxation
   // by destination range. Wave members' wdist/sigma were finalized before
-  // relaxation began and settled_ is not written during relaxation, so
+  // relaxation began and state_ is not written until placement, so
   // this phase only reads shared state; all writes go to the shard's
-  // private bucket row. The wdist[v] prefilter is an optimization only:
+  // private candidate row. The wdist[v] prefilter is an optimization only:
   // tentative distances never increase, so a candidate that neither
   // improves nor ties the wave-start wdist[v] can never do so against a
   // smaller value — phase 2 re-applies the exact relax rule regardless.
   ParallelShardedLevel(
       pool_.get(), kFrontierShards,
-      [this](unsigned, std::size_t shard) {
+      [this, wave](unsigned, std::size_t shard) {
         const auto [begin, end] =
-            ShardBounds(wave_.size(), shard, kFrontierShards);
+            ShardBounds(wave.size(), shard, kFrontierShards);
         std::vector<Candidate>* row =
             cand_buckets_.data() + shard * num_ranges_;
         for (std::size_t i = begin; i < end; ++i) {
-          const VertexId u = wave_[i];
-          const double du = dag_.wdist[u];
+          const VertexId u = wave[i].v;
           const auto nbrs = graph_->neighbors(u);
           const auto wts = graph_->weights(u);
           for (std::size_t j = 0; j < nbrs.size(); ++j) {
             const VertexId v = nbrs[j];
-            if (settled_[v]) continue;
-            const double candidate = du + wts[j];
+            if (state_[v] == kSettled) continue;
+            const double candidate = wave[i].wdist + wts[j];
             const double current = dag_.wdist[v];
             if (current >= 0.0 && candidate > current &&
                 !Equal(candidate, current)) {
@@ -294,29 +374,29 @@ void DeltaSpd::RelaxWaveParallel() {
   // parent order — the exact sequential fold, making sigma sums and
   // predecessor lists bit-identical. Every write (wdist/sigma/preds) lands
   // in the owner's range; parent reads touch settled wave state only.
-  // Bucket insertions cross ranges, so they are staged per range and
-  // applied below in range order (the global bucket array is only ever
-  // written by the calling thread).
+  // Queue placement writes the shared near list and buckets, so strict
+  // improvements are staged per range and placed below, in range order,
+  // by the calling thread alone.
   ParallelShardedLevel(
       pool_.get(), num_ranges_,
       [this](unsigned, std::size_t range) {
-        std::vector<StagedPush>& pushes = range_pushes_[range];
-        pushes.clear();
+        std::vector<StagedPlace>& places = range_places_[range];
+        places.clear();
         for (std::size_t shard = 0; shard < kFrontierShards; ++shard) {
           std::vector<Candidate>& bucket =
               cand_buckets_[shard * num_ranges_ + range];
           for (const Candidate& c : bucket) {
             RelaxCandidate(c.u, c.v, c.candidate,
-                           [&pushes](std::size_t b, VertexId v2) {
-                             pushes.push_back({b, v2});
+                           [&places](double candidate, VertexId v2) {
+                             places.push_back({candidate, v2});
                            });
           }
           bucket.clear();
         }
       },
       [this](std::size_t range) {
-        for (const StagedPush& push : range_pushes_[range]) {
-          PushBucket(push.bucket, push.v);
+        for (const StagedPlace& place : range_places_[range]) {
+          Place(place.candidate, place.v);
         }
       });
 }

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/csr_graph.h"
@@ -12,7 +13,7 @@
 /// Weighted shortest-path-DAG construction by canonical-wave delta-stepping.
 ///
 /// The weighted analogue of the hybrid BFS engine: one pass costs
-/// O(|E| + waves * window) like delta-stepping (Meyer & Sanders), but the
+/// O(|E| + waves * near list) like delta-stepping (Meyer & Sanders), but the
 /// settle schedule is *canonical* — a pure function of the graph and the
 /// source, never of the bucket width or the thread count — so weighted
 /// passes join the determinism contract the unweighted kernels already
@@ -48,15 +49,30 @@
 /// (a heap engine's order is): a vertex with a large minw may settle
 /// before a nearer vertex with a small minw.
 ///
-/// Buckets only organize the scan. Tentative distances are kept in an
-/// array of width-Δ buckets (Δ = SpdOptions::delta_width, defaulting to
-/// the graph's mean edge weight — a pure function of the graph). Entries
-/// are lazy — duplicates allowed, stale ones filtered against the current
-/// wdist — and each step scans the window of buckets that can contain wave
-/// members, [bucket(d_min), bucket(d_min + max_v minw(v))]. Because wave
-/// membership is defined by distances and minw alone, every output bit is
-/// invariant under Δ; the width trades bucket-scan overhead against window
-/// size only.
+/// A near list and buckets only organize the scan. Reached, unsettled
+/// vertices live in one of two places. Those whose distance maps below
+/// the *horizon* bucket sit on a flat near list, each once. The rest wait
+/// in an array of width-Δ buckets (Δ = SpdOptions::delta_width,
+/// defaulting to the graph's mean edge weight — a pure function of the
+/// graph). Bucket entries are lazy: an improvement pushes a new entry and
+/// leaves the old one stale. The horizon is bucket(d_min + 2 max_v
+/// minw(v)) + 1. Every wave member has wdist(v) < d_min + max_v minw(v),
+/// so every member is on the near list, and each step is one split of
+/// that list into the wave and the vertices that stay. As d_min
+/// advances, the horizon follows, pulling buckets onto the list one at a
+/// time. Relaxation appends a vertex to the list only when it first falls
+/// below the horizon. d_min is the list's minimum, kept up to date as
+/// vertices join it. A pass therefore visits each bucket entry once, when
+/// its bucket is pulled, and each near vertex once per wave while it
+/// waits: at most one wave per max_v minw(v) of distance, plus the
+/// bucket's width. Because wave membership is defined by distances and
+/// minw alone, every output bit is invariant under Δ: the width only
+/// trades bucket pushes against near-list length.
+///
+/// Each wave sorts its (wdist, id) keys directly. Small waves sort by
+/// insertion. Larger ones first distribute their keys over equal
+/// distance slots, so each key lands near its place, and clumped
+/// distances (exact integer ties) fall back to std::sort.
 ///
 /// Intra-pass parallelism (SpdOptions::num_threads > 1) fans each wave's
 /// relaxation out under the same fixed-shard discipline as the BFS
@@ -64,8 +80,9 @@
 /// candidate relaxations by 64-aligned destination range (a pure function
 /// of |V|); each range owner then commits its targets' relaxations walking
 /// the buckets in shard order — for any fixed target that is ascending
-/// (wdist, id) parent order, the exact sequential fold — staging bucket
-/// insertions that the calling thread applies in range order. Since wave
+/// (wdist, id) parent order, the exact sequential fold — staging each
+/// strict improvement, which the calling thread places on the near list
+/// or in a bucket in range order. Since wave
 /// members' wdist/sigma are fixed before relaxation begins and each
 /// target's state is owned by exactly one range, wdist/sigma/order/edges —
 /// and every dependency vector downstream — are bit-identical to the
@@ -90,11 +107,12 @@ class DeltaSpd {
  public:
   /// Work counters of one pass (and totals across passes). "Edges
   /// examined" counts neighbor-list entries inspected by wave relaxations
-  /// (each directed edge at most once per pass); "bucket entries scanned"
-  /// counts the lazy-queue overhead (compaction + wave selection visits).
+  /// (each directed edge at most once per pass); "entries scanned" counts
+  /// the queue's overhead: one visit per near-list vertex per wave (the
+  /// wave split) plus every bucket entry pulled, stale ones included.
   struct Stats {
     std::uint64_t edges_examined = 0;
-    std::uint64_t bucket_entries_scanned = 0;
+    std::uint64_t entries_scanned = 0;
     std::uint32_t waves = 0;
     std::uint32_t parallel_waves = 0;
   };
@@ -103,6 +121,13 @@ class DeltaSpd {
   /// (and the same destination-range geometry) as BfsSpd::kFrontierShards,
   /// never derived from the thread count.
   static constexpr std::size_t kFrontierShards = 32;
+
+  /// Waves below this many members sort by insertion alone; larger ones
+  /// are first distributed over slots by distance (see SortWave).
+  static constexpr std::size_t kDistributeMin = 16;
+  /// The most keys one slot may hold before SortWave gives the wave to
+  /// std::sort instead.
+  static constexpr std::size_t kSlotSortMax = 32;
 
   /// The graph must be weighted with positive weights and outlive the
   /// engine. options.tie_epsilon must be >= 0 and options.delta_width
@@ -150,27 +175,45 @@ class DeltaSpd {
   /// |a - b| <= tie_epsilon * max(|a|, |b|).
   bool Equal(double a, double b) const;
 
-  /// Bucket index of distance d; monotone in d, so the first non-empty
-  /// bucket always contains the global minimum tentative distance.
+  /// Bucket index of distance d: a product with the reciprocal width,
+  /// monotone in d, so every vertex in a lower bucket is strictly nearer
+  /// than every vertex in a higher one.
   std::size_t BucketOf(double d) const {
-    return static_cast<std::size_t>(d / bucket_width_);
+    return static_cast<std::size_t>(d * inv_width_);
   }
 
   /// Appends a lazy entry for v to `bucket`, growing the array as needed.
   void PushBucket(std::size_t bucket, VertexId v);
+  /// Moves bucket b's waiting vertices to the near list and empties it.
+  void PullBucket(std::size_t b);
+  /// Queues v after a strict improvement to `candidate`: onto the near
+  /// list when below the horizon (once), else into its bucket.
+  void Place(double candidate, VertexId v);
 
   /// Relaxes one candidate edge u -> v (v unsettled): strict improvement
-  /// resets v's predecessor set and re-buckets v via `push(bucket, v)`;
+  /// resets v's predecessor set and reports (candidate, v) to `improved`;
   /// a tie folds sigma and appends u. The single relax body both the
   /// sequential and the parallel path funnel through.
-  template <typename Push>
-  void RelaxCandidate(VertexId u, VertexId v, double candidate, Push&& push);
+  template <typename Improved>
+  void RelaxCandidate(VertexId u, VertexId v, double candidate,
+                      Improved&& improved);
 
-  /// Relaxes every edge out of wave_ in wave order on the calling thread.
-  void RelaxWaveSequential();
+  /// A settling wave member with its (final) distance: waves sort by
+  /// (wdist, id) on these keys directly.
+  struct WaveKey {
+    double wdist;
+    VertexId v;
+  };
+
+  /// Sorts a wave's keys ascending (wdist, id); `lo` is the smallest
+  /// wdist among them (d_min).
+  void SortWave(std::span<WaveKey> wave, double lo);
+
+  /// Relaxes every edge out of `wave` in wave order on the calling thread.
+  void RelaxWaveSequential(std::span<const WaveKey> wave);
   /// Fixed-shard parallel wave relaxation (see the file comment); output
   /// bit-identical to RelaxWaveSequential.
-  void RelaxWaveParallel();
+  void RelaxWaveParallel(std::span<const WaveKey> wave);
 
   /// True when a wave with `wave_edges` of work should fan out: a pool
   /// exists and the wave clears the (thread-count-independent) grain.
@@ -196,15 +239,37 @@ class DeltaSpd {
   /// max_v minw(v) over non-isolated vertices — the window span.
   double max_min_incident_ = 0.0;
   double bucket_width_ = 1.0;
-  std::vector<char> settled_;
-  /// Lazy bucket queue: buckets_[b] holds candidate entries for vertices
-  /// whose tentative distance mapped to bucket b when last improved.
-  /// Duplicates and stale entries are allowed; compaction filters them
-  /// against wdist. All buckets are empty between Runs.
+  double inv_width_ = 1.0;
+  /// Per-vertex queue state of the current pass: kWaiting (unreached, or
+  /// reached with an entry in a bucket at or past the horizon), kNear (on
+  /// the near list) or kSettled. A vertex only moves forward through the
+  /// three, so a bucket entry whose vertex is no longer kWaiting is stale.
+  static constexpr std::uint8_t kWaiting = 0;
+  static constexpr std::uint8_t kNear = 1;
+  static constexpr std::uint8_t kSettled = 2;
+  std::vector<std::uint8_t> state_;
+  /// The near list: every reached, unsettled vertex whose bucket is below
+  /// horizon_, each once, in no particular order.
+  std::vector<VertexId> near_;
+  /// The smallest wdist on the near list: the stayers' minimum from the
+  /// last split, lowered by every vertex that joins the list or improves
+  /// on it since. An improvement only lowers a distance, so this is the
+  /// exact minimum without a rescan.
+  double near_min_ = 0.0;
+  std::size_t horizon_ = 0;
+  /// Lazy bucket queue for reached vertices at or past the horizon:
+  /// buckets_[b] holds v when wdist(v) mapped to bucket b at an
+  /// improvement. A later improvement leaves the old entry behind, stale.
+  /// Buckets below horizon_ are empty, and all are empty between Runs.
   std::vector<std::vector<VertexId>> buckets_;
-  std::size_t max_bucket_ = 0;
-  /// The current wave, ascending (wdist, id).
-  std::vector<VertexId> wave_;
+  /// One past the highest bucket pushed this pass.
+  std::size_t bucket_end_ = 0;
+  /// The current wave's keys in [0, wave size), ascending (wdist, id);
+  /// sized to the largest near list seen, which bounds a wave.
+  std::vector<WaveKey> wave_;
+  /// SortWave scratch: per-slot start offsets and the slot-ordered keys.
+  std::vector<std::uint32_t> slot_starts_;
+  std::vector<WaveKey> slotted_;
   Stats last_stats_;
   Stats total_stats_;
 
@@ -215,10 +280,10 @@ class DeltaSpd {
     VertexId u;
     double candidate;
   };
-  /// A bucket insertion staged by a range owner, applied by the calling
+  /// A strict improvement staged by a range owner, placed by the calling
   /// thread in range order.
-  struct StagedPush {
-    std::size_t bucket;
+  struct StagedPlace {
+    double candidate;
     VertexId v;
   };
 
@@ -232,8 +297,8 @@ class DeltaSpd {
   /// Candidate buckets, indexed [shard * num_ranges_ + range]; capacity is
   /// retained across waves and passes.
   std::vector<std::vector<Candidate>> cand_buckets_;
-  /// Per-range staged bucket insertions.
-  std::vector<std::vector<StagedPush>> range_pushes_;
+  /// Per-range staged improvements.
+  std::vector<std::vector<StagedPlace>> range_places_;
 };
 
 }  // namespace mhbc

@@ -333,7 +333,7 @@ TEST(PassDigestTest, HeavySpokeScanStaysLinear) {
   DeltaSpd spd(g);
   spd.Run(0);
   EXPECT_EQ(spd.dag().num_reached(), g.num_vertices());
-  EXPECT_LE(spd.last_stats().bucket_entries_scanned, bound);
+  EXPECT_LE(spd.last_stats().entries_scanned, bound);
 }
 
 /// Source 0 reaches four relays a1..a4 (ids 1..4, distances 10..40) and

@@ -197,6 +197,68 @@ TEST(WeightedKernelTest, WavesAreTopologicalLevelsInCanonicalOrder) {
   }
 }
 
+TEST(WeightedKernelTest, EverySortPathKeepsWavesInCanonicalOrder) {
+  // Large waves are distributed over distance slots before their
+  // insertion sort, and waves whose distances clump (integer weights)
+  // take std::sort. Each fixture must reach the path it is named for, and
+  // every wave must come out strictly ascending (wdist, id).
+  struct Case {
+    const char* name;
+    CsrGraph graph;
+    bool spread;   // needs a wave of >= kDistributeMin, spread distances
+    bool clumped;  // needs a wave with > kSlotSortMax equal distances
+  };
+  const CsrGraph ba = MakeBarabasiAlbert(2000, 4, 0x5A);
+  // BA with weight 2 + (u + v) % mod on edge {u, v} (a graph whose
+  // weights are all 1 would build unweighted).
+  const auto integer_weights = [&ba](VertexId mod) {
+    GraphBuilder builder(ba.num_vertices());
+    for (const CsrGraph::Edge& e : ba.CollectEdges()) {
+      builder.AddWeightedEdge(e.u, e.v, 2.0 + (e.u + e.v) % mod);
+    }
+    return std::move(builder.Build()).value();
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      {"ba-2000 [1,3]", AssignUniformWeights(ba, 1.0, 3.0, 0x5B), true,
+       false});
+  // Equal weights: every wave is one BFS level at one distance.
+  cases.push_back({"ba-2000 {2}", integer_weights(1), false, true});
+  // Weights 2 or 3: waves mix two distances in large clumps.
+  cases.push_back({"ba-2000 {2,3}", integer_weights(2), false, true});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    DeltaSpd delta(c.graph, SpdOptions());
+    bool saw_spread = false;
+    bool saw_clump = false;
+    for (VertexId s : {VertexId{0}, VertexId{999}, VertexId{1999}}) {
+      delta.Run(s);
+      const ShortestPathDag& dag = delta.dag();
+      ASSERT_EQ(dag.num_reached(), c.graph.num_vertices());
+      for (std::size_t l = 0; l < dag.num_levels(); ++l) {
+        const std::size_t begin = dag.level_offsets[l];
+        const std::size_t end = dag.level_offsets[l + 1];
+        std::size_t run = 1;
+        for (std::size_t i = begin + 1; i < end; ++i) {
+          const VertexId prev = dag.order[i - 1];
+          const VertexId cur = dag.order[i];
+          ASSERT_TRUE(dag.wdist[prev] < dag.wdist[cur] ||
+                      (dag.wdist[prev] == dag.wdist[cur] && prev < cur))
+              << "source " << s << " wave " << l << " position " << i;
+          run = dag.wdist[prev] == dag.wdist[cur] ? run + 1 : 1;
+          saw_clump = saw_clump || run > DeltaSpd::kSlotSortMax;
+        }
+        saw_spread = saw_spread ||
+                     (end - begin >= DeltaSpd::kDistributeMin &&
+                      dag.wdist[dag.order[begin]] <
+                          dag.wdist[dag.order[end - 1]]);
+      }
+    }
+    EXPECT_TRUE(saw_spread || !c.spread);
+    EXPECT_TRUE(saw_clump || !c.clumped);
+  }
+}
+
 // ------------------------------------- parallel bit-identity
 
 TEST(WeightedKernelTest, ParallelMatchesSequentialOnWeightedZoo) {
