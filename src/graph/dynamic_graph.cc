@@ -1,6 +1,7 @@
 #include "graph/dynamic_graph.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
@@ -61,6 +62,7 @@ bool ParseVertex(std::istringstream& tokens, VertexId* out) {
 StatusOr<GraphDelta> ParseEditScriptText(const std::string& text,
                                          const std::string& where) {
   GraphDelta delta;
+  std::uint32_t added_vertices = 0;
   std::istringstream in(text);
   std::string raw;
   int line_no = 0;
@@ -97,15 +99,25 @@ StatusOr<GraphDelta> ParseEditScriptText(const std::string& text,
       if (tokens >> trailing) return fail("trailing input '" + trailing + "'");
       delta.RemoveEdge(u, v);
     } else if (op == "addvertex") {
-      long long count = 1;
-      if (!(tokens >> count)) {
-        tokens.clear();  // the count is optional
-        count = 1;
+      // The count is optional. A count too long for the integer type is
+      // out of range, not absent.
+      std::uint64_t count = 1;
+      std::string count_text;
+      if (tokens >> count_text) {
+        const char* end = count_text.data() + count_text.size();
+        const auto [stop, error] =
+            std::from_chars(count_text.data(), end, count);
+        if (error != std::errc() || stop != end || count < 1) {
+          return fail("addvertex count out of range");
+        }
       }
-      if (count < 1 || count > static_cast<long long>(kInvalidVertex)) {
-        return fail("addvertex count out of range");
+      if (count > kMaxVerticesAddedPerDelta - added_vertices) {
+        return fail("addvertex: the script adds more than " +
+                    std::to_string(kMaxVerticesAddedPerDelta) +
+                    " vertices (the per-delta cap)");
       }
       if (tokens >> trailing) return fail("trailing input '" + trailing + "'");
+      added_vertices += static_cast<std::uint32_t>(count);
       delta.AddVertices(static_cast<std::uint32_t>(count));
     } else {
       return fail("unknown op '" + op +

@@ -84,9 +84,17 @@ class GraphDelta {
   std::vector<GraphEdit> edits_;
 };
 
+/// The most vertices one edit script may add, summed over its addvertex
+/// lines. The parser holds one edit per added vertex, so the cap bounds
+/// what one script (a file, or one `mutate` request) can make it
+/// allocate: 2^20 vertices is 24 MiB of edits.
+inline constexpr std::uint32_t kMaxVerticesAddedPerDelta = 1u << 20;
+
 /// Parses the text edit-script format (docs/formats.md):
 ///   add <u> <v> [w]   |   remove <u> <v>   |   addvertex [count]
-/// plus blank lines and '#' comments. Errors name the offending line.
+/// plus blank lines and '#' comments. Errors name the offending line; a
+/// script whose addvertex counts sum past kMaxVerticesAddedPerDelta is
+/// rejected at the line that crosses it.
 StatusOr<GraphDelta> ParseEditScript(const std::string& path);
 
 /// ParseEditScript over in-memory text; `where` labels error messages.

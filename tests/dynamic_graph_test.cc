@@ -291,6 +291,33 @@ TEST(EditScriptTest, RejectsMalformedLinesWithLineNumbers) {
   }
 }
 
+TEST(EditScriptTest, CapsTheVerticesOneScriptAdds) {
+  const std::string cap = std::to_string(kMaxVerticesAddedPerDelta);
+  const std::string over = std::to_string(kMaxVerticesAddedPerDelta + 1ULL);
+  // One line over the cap, two lines that sum past it, and counts too
+  // large for any integer type: each names the line that crosses.
+  for (const auto& [script, line] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"addvertex " + over, "capped:1"},
+           {"addvertex 4294967295", "capped:1"},
+           {"add 0 1\naddvertex " + cap + "\naddvertex", "capped:3"},
+           {"addvertex 99999999999999999999999", "capped:1"},
+       }) {
+    const auto delta = ParseEditScriptText(script, "capped");
+    ASSERT_FALSE(delta.ok()) << "accepted: " << script;
+    EXPECT_EQ(delta.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(delta.status().message().find(line), std::string::npos)
+        << delta.status().ToString();
+  }
+  // Exactly the cap, over two lines, is accepted.
+  const auto at_cap = ParseEditScriptText(
+      "addvertex " + std::to_string(kMaxVerticesAddedPerDelta - 1) +
+          "\naddvertex\n",
+      "capped");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap.value().size(), std::size_t{kMaxVerticesAddedPerDelta});
+}
+
 TEST(EditScriptTest, FileRoundTripsAndMissingFileIsIoError) {
   namespace fs = std::filesystem;
   const std::string path =

@@ -186,6 +186,18 @@ TEST_F(ServeProtocolTest, MutateValidationIsFieldClass) {
   ExpectStillServing();
 }
 
+TEST_F(ServeProtocolTest, MutateAddingTooManyVerticesIsFieldClass) {
+  // 2^32 - 1 added vertices would be ~100 GB of edits: the parser's
+  // per-delta cap answers instead of exhausting memory.
+  const ServeResponse response = ExpectError(
+      R"({"id": 1, "method": "mutate", "graph": "caveman-36", )"
+      R"("edits": "addvertex 4294967295"})",
+      ServeErrorClass::kField);
+  EXPECT_NE(response.message.find("mutate request:1"), std::string::npos)
+      << response.message;
+  ExpectStillServing();
+}
+
 // `stats` reports the graph's dependency memo: a repeated estimate is served
 // from it (hits rise, inserts do not), and a mutate drops entries.
 TEST_F(ServeProtocolTest, StatsReportTheGraphsMemo) {
