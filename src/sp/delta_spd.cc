@@ -132,55 +132,20 @@ void DeltaSpd::RelaxCandidate(VertexId u, VertexId v, double candidate,
   }
 }
 
-void DeltaSpd::SortWave(std::span<WaveKey> wave, double lo) {
+void DeltaSpd::SortWave(std::span<WaveKey> wave) {
   const auto less = [](const WaveKey& a, const WaveKey& b) {
     return a.wdist < b.wdist || (a.wdist == b.wdist && a.v < b.v);
   };
-  // Insertion-sorts `from` into `wave` (the two may be the same array):
-  // cheap when every key starts near its place.
-  const auto insert_all = [&](std::span<const WaveKey> from) {
-    for (std::size_t i = 0; i < from.size(); ++i) {
-      const WaveKey key = from[i];
-      std::size_t j = i;
-      for (; j > 0 && less(key, wave[j - 1]); --j) wave[j] = wave[j - 1];
-      wave[j] = key;
-    }
-  };
-  const std::size_t m = wave.size();
-  if (m < kDistributeMin) {
-    insert_all(wave);
+  if (wave.size() > kInsertionSortMax) {
+    std::sort(wave.begin(), wave.end(), less);
     return;
   }
-  // Distribute the keys over m equal slots of [lo, hi] by wdist, then
-  // insertion-sort the slot-ordered keys. The slot map is monotone in
-  // wdist, so no key has to pass one from an earlier slot, and a wave's
-  // distances spread evenly enough that a slot holds a key or two. When
-  // they clump (integer weights tie exactly), std::sort takes over.
-  double hi = lo;
-  for (const WaveKey& key : wave) hi = std::max(hi, key.wdist);
-  if (hi > lo) {
-    const double scale = static_cast<double>(m) / (hi - lo);
-    const auto slot = [&](double wdist) {
-      return std::min(static_cast<std::size_t>((wdist - lo) * scale), m - 1);
-    };
-    slot_starts_.assign(m + 1, 0);
-    std::uint32_t fullest = 0;
-    for (const WaveKey& key : wave) {
-      fullest = std::max(fullest, ++slot_starts_[slot(key.wdist) + 1]);
-    }
-    if (fullest <= kSlotSortMax) {
-      for (std::size_t b = 1; b <= m; ++b) {
-        slot_starts_[b] += slot_starts_[b - 1];
-      }
-      if (slotted_.size() < m) slotted_.resize(m);
-      for (const WaveKey& key : wave) {
-        slotted_[slot_starts_[slot(key.wdist)]++] = key;
-      }
-      insert_all(std::span<const WaveKey>(slotted_.data(), m));
-      return;
-    }
+  for (std::size_t i = 1; i < wave.size(); ++i) {
+    const WaveKey key = wave[i];
+    std::size_t j = i;
+    for (; j > 0 && less(key, wave[j - 1]); --j) wave[j] = wave[j - 1];
+    wave[j] = key;
   }
-  std::sort(wave.begin(), wave.end(), less);
 }
 
 void DeltaSpd::Run(VertexId source) {
@@ -259,7 +224,7 @@ void DeltaSpd::Run(VertexId source) {
     // order, the per-target relaxation fold order, and the level slice the
     // backward sweep walks — independent of the near list's order.
     const std::span<WaveKey> wave(wave_.data(), members);
-    SortWave(wave, d_min);
+    SortWave(wave);
 
     // Settle the wave and record it: its level in `order`, and its edge
     // slice, child-major. A settled vertex gains no more parents, so each

@@ -69,10 +69,8 @@
 /// minw alone, every output bit is invariant under Δ: the width only
 /// trades bucket pushes against near-list length.
 ///
-/// Each wave sorts its (wdist, id) keys directly. Small waves sort by
-/// insertion. Larger ones first distribute their keys over equal
-/// distance slots, so each key lands near its place, and clumped
-/// distances (exact integer ties) fall back to std::sort.
+/// Each wave sorts its (wdist, id) keys directly: by insertion up to
+/// kInsertionSortMax members, by std::sort above that.
 ///
 /// Intra-pass parallelism (SpdOptions::num_threads > 1) fans each wave's
 /// relaxation out under the same fixed-shard discipline as the BFS
@@ -122,12 +120,9 @@ class DeltaSpd {
   /// never derived from the thread count.
   static constexpr std::size_t kFrontierShards = 32;
 
-  /// Waves below this many members sort by insertion alone; larger ones
-  /// are first distributed over slots by distance (see SortWave).
-  static constexpr std::size_t kDistributeMin = 16;
-  /// The most keys one slot may hold before SortWave gives the wave to
-  /// std::sort instead.
-  static constexpr std::size_t kSlotSortMax = 32;
+  /// Waves of at most this many members sort by insertion; larger ones
+  /// (a registry graph's waves reach 100+ members) take std::sort.
+  static constexpr std::size_t kInsertionSortMax = 32;
 
   /// The graph must be weighted with positive weights and outlive the
   /// engine. options.tie_epsilon must be >= 0 and options.delta_width
@@ -205,9 +200,8 @@ class DeltaSpd {
     VertexId v;
   };
 
-  /// Sorts a wave's keys ascending (wdist, id); `lo` is the smallest
-  /// wdist among them (d_min).
-  void SortWave(std::span<WaveKey> wave, double lo);
+  /// Sorts a wave's keys ascending (wdist, id).
+  static void SortWave(std::span<WaveKey> wave);
 
   /// Relaxes every edge out of `wave` in wave order on the calling thread.
   void RelaxWaveSequential(std::span<const WaveKey> wave);
@@ -236,7 +230,8 @@ class DeltaSpd {
   /// Per-vertex smallest incident weight minw(v); +infinity for isolated
   /// vertices (only consulted for reached vertices, which have an edge).
   std::vector<double> min_incident_;
-  /// max_v minw(v) over non-isolated vertices — the window span.
+  /// max_v minw(v) over non-isolated vertices: every wave member lies
+  /// within it of d_min, and the horizon sits twice it past d_min.
   double max_min_incident_ = 0.0;
   double bucket_width_ = 1.0;
   double inv_width_ = 1.0;
@@ -256,6 +251,7 @@ class DeltaSpd {
   /// on it since. An improvement only lowers a distance, so this is the
   /// exact minimum without a rescan.
   double near_min_ = 0.0;
+  /// The first bucket not yet pulled onto the near list.
   std::size_t horizon_ = 0;
   /// Lazy bucket queue for reached vertices at or past the horizon:
   /// buckets_[b] holds v when wdist(v) mapped to bucket b at an
@@ -267,9 +263,6 @@ class DeltaSpd {
   /// The current wave's keys in [0, wave size), ascending (wdist, id);
   /// sized to the largest near list seen, which bounds a wave.
   std::vector<WaveKey> wave_;
-  /// SortWave scratch: per-slot start offsets and the slot-ordered keys.
-  std::vector<std::uint32_t> slot_starts_;
-  std::vector<WaveKey> slotted_;
   Stats last_stats_;
   Stats total_stats_;
 
