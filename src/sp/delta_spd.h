@@ -62,12 +62,14 @@
 /// advances, the horizon follows, pulling buckets onto the list one at a
 /// time. Relaxation appends a vertex to the list only when it first falls
 /// below the horizon. d_min is the list's minimum, kept up to date as
-/// vertices join it. A pass therefore visits each bucket entry once, when
-/// its bucket is pulled, and each near vertex once per wave while it
-/// waits: at most one wave per max_v minw(v) of distance, plus the
-/// bucket's width. Because wave membership is defined by distances and
-/// minw alone, every output bit is invariant under Δ: the width only
-/// trades bucket pushes against near-list length.
+/// vertices join it. The scan bound: a pass visits each bucket entry
+/// once, when its bucket is pulled, and a wave visits only near vertices,
+/// none past bucket(d_min + 2 max_v minw(v)), so a vertex waits on the
+/// list while d_min advances by at most 2 max_v minw(v) + Δ. Vertices
+/// that wait far ahead stay in buckets (a list with no buckets would
+/// rescan them on every wave). Because wave membership is defined by
+/// distances and minw alone, every output bit is invariant under Δ: the
+/// width only trades bucket pushes against near-list length.
 ///
 /// Each wave sorts its (wdist, id) keys directly: by insertion up to
 /// kInsertionSortMax members, by std::sort above that.
