@@ -132,22 +132,6 @@ void DeltaSpd::RelaxCandidate(VertexId u, VertexId v, double candidate,
   }
 }
 
-void DeltaSpd::SortWave(std::span<WaveKey> wave) {
-  const auto less = [](const WaveKey& a, const WaveKey& b) {
-    return a.wdist < b.wdist || (a.wdist == b.wdist && a.v < b.v);
-  };
-  if (wave.size() > kInsertionSortMax) {
-    std::sort(wave.begin(), wave.end(), less);
-    return;
-  }
-  for (std::size_t i = 1; i < wave.size(); ++i) {
-    const WaveKey key = wave[i];
-    std::size_t j = i;
-    for (; j > 0 && less(key, wave[j - 1]); --j) wave[j] = wave[j - 1];
-    wave[j] = key;
-  }
-}
-
 void DeltaSpd::Run(VertexId source) {
   MHBC_DCHECK(source < graph_->num_vertices());
   // Reset only what the previous pass touched. Every reached vertex
@@ -224,7 +208,10 @@ void DeltaSpd::Run(VertexId source) {
     // order, the per-target relaxation fold order, and the level slice the
     // backward sweep walks — independent of the near list's order.
     const std::span<WaveKey> wave(wave_.data(), members);
-    SortWave(wave);
+    std::sort(wave.begin(), wave.end(),
+              [](const WaveKey& a, const WaveKey& b) {
+                return a.wdist < b.wdist || (a.wdist == b.wdist && a.v < b.v);
+              });
 
     // Settle the wave and record it: its level in `order`, and its edge
     // slice, child-major. A settled vertex gains no more parents, so each

@@ -71,8 +71,8 @@
 /// distances and minw alone, every output bit is invariant under Δ: the
 /// width only trades bucket pushes against near-list length.
 ///
-/// Each wave sorts its (wdist, id) keys directly: by insertion up to
-/// kInsertionSortMax members, by std::sort above that.
+/// Each wave sorts its (wdist, id) keys directly, not vertex ids through
+/// an indirect wdist lookup.
 ///
 /// Intra-pass parallelism (SpdOptions::num_threads > 1) fans each wave's
 /// relaxation out under the same fixed-shard discipline as the BFS
@@ -121,10 +121,6 @@ class DeltaSpd {
   /// (and the same destination-range geometry) as BfsSpd::kFrontierShards,
   /// never derived from the thread count.
   static constexpr std::size_t kFrontierShards = 32;
-
-  /// Waves of at most this many members sort by insertion; larger ones
-  /// (a registry graph's waves reach 100+ members) take std::sort.
-  static constexpr std::size_t kInsertionSortMax = 32;
 
   /// The graph must be weighted with positive weights and outlive the
   /// engine. options.tie_epsilon must be >= 0 and options.delta_width
@@ -201,9 +197,6 @@ class DeltaSpd {
     double wdist;
     VertexId v;
   };
-
-  /// Sorts a wave's keys ascending (wdist, id).
-  static void SortWave(std::span<WaveKey> wave);
 
   /// Relaxes every edge out of `wave` in wave order on the calling thread.
   void RelaxWaveSequential(std::span<const WaveKey> wave);

@@ -149,10 +149,9 @@ TEST(WeightedKernelTest, WavesAreTopologicalLevelsInCanonicalOrder) {
   // Every recorded SPD edge must cross strictly backward in wave index
   // (waves are topological levels — the property the fused level-parallel
   // dependency sweep relies on), and within each wave the canonical order
-  // is ascending (wdist, id). Waves of up to kInsertionSortMax members sort
-  // by insertion, larger ones by std::sort: the second graph's weights of
-  // 2 and 3 make waves of up to ~1100 members that share two or three
-  // distances, so ids order most of each wave.
+  // is ascending (wdist, id). The second graph's weights of 2 and 3 make
+  // waves of up to ~1100 members that share two or three distances, so
+  // ids order most of each wave.
   const CsrGraph ba = MakeBarabasiAlbert(2000, 4, 0x5A);
   GraphBuilder integer_weights(ba.num_vertices());
   for (const CsrGraph::Edge& e : ba.CollectEdges()) {
@@ -162,7 +161,6 @@ TEST(WeightedKernelTest, WavesAreTopologicalLevelsInCanonicalOrder) {
   graphs.push_back(
       AssignUniformWeights(MakeBarabasiAlbert(400, 3, 0x51), 1.0, 3.0, 0x9));
   graphs.push_back(std::move(integer_weights.Build()).value());
-  std::size_t largest_wave = 0;
   for (const CsrGraph& g : graphs) {
     SCOPED_TRACE("n=" + std::to_string(g.num_vertices()));
     DeltaSpd delta(g, SpdOptions());
@@ -173,8 +171,6 @@ TEST(WeightedKernelTest, WavesAreTopologicalLevelsInCanonicalOrder) {
     ASSERT_EQ(dag.level_offsets.back(), dag.order.size());
     std::vector<std::size_t> wave_of(g.num_vertices(), 0);
     for (std::size_t l = 0; l < dag.num_levels(); ++l) {
-      largest_wave = std::max(
-          largest_wave, dag.level_offsets[l + 1] - dag.level_offsets[l]);
       for (std::size_t i = dag.level_offsets[l]; i < dag.level_offsets[l + 1];
            ++i) {
         wave_of[dag.order[i]] = l;
@@ -211,7 +207,6 @@ TEST(WeightedKernelTest, WavesAreTopologicalLevelsInCanonicalOrder) {
       }
     }
   }
-  EXPECT_GT(largest_wave, DeltaSpd::kInsertionSortMax);
 }
 
 // ------------------------------------- parallel bit-identity
