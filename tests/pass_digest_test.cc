@@ -80,10 +80,11 @@ std::vector<Fixture> Fixtures() {
   return fixtures;
 }
 
-std::vector<VertexId> Sources(VertexId n, std::size_t count = kSources) {
+std::vector<VertexId> Sources(VertexId n) {
   std::vector<VertexId> sources;
-  for (std::size_t i = 0; i < count; ++i) {
-    sources.push_back(static_cast<VertexId>((std::uint64_t{n} * i) / count));
+  for (std::size_t i = 0; i < kSources; ++i) {
+    sources.push_back(
+        static_cast<VertexId>((std::uint64_t{n} * i) / kSources));
   }
   return sources;
 }
@@ -186,86 +187,6 @@ CsrGraph IntegerWeightGrid(VertexId rows, VertexId cols) {
   return std::move(builder.Build()).value();
 }
 
-/// A real-weight grid (the churn-serve road shape), a weighted directed
-/// graph (parents over in-edges, minw over in-weights) and an
-/// integer-weight grid with many exact ties.
-std::vector<Fixture> WeightedFixtures() {
-  std::vector<Fixture> fixtures;
-  fixtures.push_back({"weighted-grid-32x32",
-                      AssignUniformWeights(MakeGrid(32, 32), 1.0, 4.0, 0x3E)});
-  fixtures.push_back(
-      {"weighted-directed-1000",
-       AssignUniformWeights(MakeRandomDirected(1000, 5000, 0xD1), 1.0, 3.0,
-                            0xD2)});
-  fixtures.push_back({"integer-grid-24x24", IntegerWeightGrid(24, 24)});
-  return fixtures;
-}
-
-/// DeltaSpd sequential, and at 4 threads with grain 0: every wave's
-/// relaxation and every level of the backward sweep go through the
-/// sharded steps.
-std::vector<std::pair<std::string, SpdOptions>> WeightedConfigs() {
-  std::vector<std::pair<std::string, SpdOptions>> configs;
-  for (unsigned threads : {1u, 4u}) {
-    SpdOptions spd;
-    spd.num_threads = threads;
-    if (threads > 1) spd.parallel_grain = 0;
-    configs.emplace_back("delta/" + std::to_string(threads), spd);
-  }
-  return configs;
-}
-
-TEST(PassDigestTest, WeightedDependencyVectorsFromFixedSources) {
-  // {DeltaSpd at every config, DijkstraSpd} per fixture. The two engines
-  // settle in different orders, so a parent may fold its children's terms
-  // in a different order: on the tie-rich integer grid the last bits
-  // differ.
-  const std::uint64_t expected[][2] = {
-      {0x462d7414c3a99624ULL, 0x462d7414c3a99624ULL},
-      {0xf3909724fda586ecULL, 0xf3909724fda586ecULL},
-      {0xf612ed7972273073ULL, 0xba394ee3954315feULL},
-  };
-  const std::vector<Fixture> fixtures = WeightedFixtures();
-  for (std::size_t f = 0; f < fixtures.size(); ++f) {
-    const CsrGraph& g = fixtures[f].graph;
-    for (const auto& [config, spd] : WeightedConfigs()) {
-      DependencyOracle oracle(g, spd);
-      Fnv1a digest;
-      for (VertexId s : Sources(g.num_vertices())) {
-        digest.AddAll(oracle.Dependencies(s));
-      }
-      EXPECT_EQ(Hex(digest.value()), Hex(expected[f][0]))
-          << fixtures[f].name << " " << config;
-    }
-    DijkstraSpd dijkstra(g);
-    DependencyAccumulator accumulator(g);
-    Fnv1a digest;
-    for (VertexId s : Sources(g.num_vertices())) {
-      dijkstra.Run(s);
-      digest.AddAll(accumulator.Accumulate(dijkstra));
-    }
-    EXPECT_EQ(Hex(digest.value()), Hex(expected[f][1]))
-        << fixtures[f].name << " dijkstra";
-  }
-}
-
-TEST(PassDigestTest, WeightedRkCreditVectors) {
-  const std::uint64_t expected[] = {0xecf3e42b88a3981dULL,
-                                    0xea8b5705375ca80dULL,
-                                    0x19def63968ee8926ULL};
-  const std::vector<Fixture> fixtures = WeightedFixtures();
-  for (std::size_t f = 0; f < fixtures.size(); ++f) {
-    for (const auto& [config, spd] : WeightedConfigs()) {
-      DependencyOracle oracle(fixtures[f].graph, spd);
-      RkSampler rk(fixtures[f].graph, /*seed=*/0x4B, &oracle);
-      Fnv1a digest;
-      digest.AddAll(rk.EstimateAll(256));
-      EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
-          << fixtures[f].name << " " << config;
-    }
-  }
-}
-
 /// A weight-1 path 0 - 1 - ... - (path_len - 1) from the source, plus
 /// `spokes` vertices hung off vertex 0 by weight-4000 edges and paired
 /// by weight-1 edges. The path settles one vertex per wave while every
@@ -282,58 +203,6 @@ CsrGraph HeavySpoke(VertexId path_len, VertexId spokes) {
     }
   }
   return std::move(builder.Build()).value();
-}
-
-/// Graphs whose waves reach the kernel's less common paths: waves of
-/// ~110 members (email-like-1k at [1,3]), entries that wait far past
-/// the wave window (BA at [1,1000]) and one heavy-spoke graph.
-std::vector<Fixture> WaveFixtures() {
-  std::vector<Fixture> fixtures;
-  fixtures.push_back(
-      {"email-like-1k-w3",
-       AssignUniformWeights(MakeDataset("email-like-1k").value(), 1.0, 3.0,
-                            0xE24)});
-  fixtures.push_back(
-      {"ba-2000-w1000",
-       AssignUniformWeights(MakeBarabasiAlbert(2000, 3, 0xBA2), 1.0, 1000.0,
-                            0xBA3)});
-  fixtures.push_back({"heavy-spoke-500-4000", HeavySpoke(500, 4000)});
-  return fixtures;
-}
-
-TEST(PassDigestTest, WeightedWaveShapes) {
-  // 16 sources each: at grain 0 every one of heavy-spoke's ~500 waves per
-  // pass crosses two pool barriers.
-  const std::uint64_t expected[] = {0xbd129ad3b225f7d7ULL,
-                                    0xc5f74951729f7a3cULL,
-                                    0xf736e1f753396556ULL};
-  const std::vector<Fixture> fixtures = WaveFixtures();
-  for (std::size_t f = 0; f < fixtures.size(); ++f) {
-    const CsrGraph& g = fixtures[f].graph;
-    for (const auto& [config, spd] : WeightedConfigs()) {
-      DependencyOracle oracle(g, spd);
-      Fnv1a digest;
-      for (VertexId s : Sources(g.num_vertices(), 16)) {
-        digest.AddAll(oracle.Dependencies(s));
-      }
-      EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
-          << fixtures[f].name << " " << config;
-    }
-  }
-}
-
-TEST(PassDigestTest, HeavySpokeScanStaysLinear) {
-  // From the hub, the path takes 500 one-vertex waves while 4000 spokes
-  // wait at distance 4000. A queue that rescanned every waiting entry on
-  // each wave would visit ~2,000,000 entries; a pass must stay within one
-  // visit per vertex and arc.
-  const CsrGraph g = HeavySpoke(500, 4000);
-  const std::uint64_t bound = g.num_vertices() + g.raw_adjacency().size();
-  ASSERT_EQ(bound, 17498u);
-  DeltaSpd spd(g);
-  spd.Run(0);
-  EXPECT_EQ(spd.dag().num_reached(), g.num_vertices());
-  EXPECT_LE(spd.last_stats().entries_scanned, bound);
 }
 
 /// Source 0 reaches four relays a1..a4 (ids 1..4, distances 10..40) and
@@ -368,22 +237,122 @@ CsrGraph NearTieGraph() {
   return std::move(builder.Build()).value();
 }
 
-TEST(PassDigestTest, NearTiesAtTheEpsilonBoundary) {
-  const std::uint64_t expected_dependencies = 0x9c9dadc094670be6ULL;
-  const std::uint64_t expected_rk = 0xaae25c1e064ef5edULL;
-  const CsrGraph g = NearTieGraph();
-  for (const auto& [config, spd] : WeightedConfigs()) {
-    DependencyOracle oracle(g, spd);
-    Fnv1a digest;
-    for (VertexId s = 0; s < g.num_vertices(); ++s) {
-      digest.AddAll(oracle.Dependencies(s));
-    }
-    EXPECT_EQ(Hex(digest.value()), Hex(expected_dependencies)) << config;
-    RkSampler rk(g, /*seed=*/0x4B, &oracle);
-    Fnv1a rk_digest;
-    rk_digest.AddAll(rk.EstimateAll(256));
-    EXPECT_EQ(Hex(rk_digest.value()), Hex(expected_rk)) << config;
+/// A real-weight grid (the churn-serve road shape), a weighted directed
+/// graph (parents over in-edges, minw over in-weights), an integer-weight
+/// grid with many exact ties, and graphs shaped for the weighted queue:
+/// waves of ~110 members (email-like-1k at [1,3]), vertices that wait far
+/// past the wave window (BA at [1,1000]), a heavy-spoke graph and path
+/// lengths at the tie-epsilon boundary.
+std::vector<Fixture> WeightedFixtures() {
+  std::vector<Fixture> fixtures;
+  fixtures.push_back({"weighted-grid-32x32",
+                      AssignUniformWeights(MakeGrid(32, 32), 1.0, 4.0, 0x3E)});
+  fixtures.push_back(
+      {"weighted-directed-1000",
+       AssignUniformWeights(MakeRandomDirected(1000, 5000, 0xD1), 1.0, 3.0,
+                            0xD2)});
+  fixtures.push_back({"integer-grid-24x24", IntegerWeightGrid(24, 24)});
+  fixtures.push_back(
+      {"email-like-1k-w3",
+       AssignUniformWeights(MakeDataset("email-like-1k").value(), 1.0, 3.0,
+                            0xE24)});
+  fixtures.push_back(
+      {"ba-2000-w1000",
+       AssignUniformWeights(MakeBarabasiAlbert(2000, 3, 0xBA2), 1.0, 1000.0,
+                            0xBA3)});
+  fixtures.push_back({"heavy-spoke-100-800", HeavySpoke(100, 800)});
+  fixtures.push_back({"near-tie-15", NearTieGraph()});
+  return fixtures;
+}
+
+/// DeltaSpd sequential, and at 4 threads with grain 0: every wave's
+/// relaxation and every level of the backward sweep go through the
+/// sharded steps.
+std::vector<std::pair<std::string, SpdOptions>> WeightedConfigs() {
+  std::vector<std::pair<std::string, SpdOptions>> configs;
+  for (unsigned threads : {1u, 4u}) {
+    SpdOptions spd;
+    spd.num_threads = threads;
+    if (threads > 1) spd.parallel_grain = 0;
+    configs.emplace_back("delta/" + std::to_string(threads), spd);
   }
+  return configs;
+}
+
+TEST(PassDigestTest, WeightedDependencyVectorsFromFixedSources) {
+  // {DeltaSpd at every config, DijkstraSpd} per fixture. The two engines
+  // settle in different orders, so a parent may fold its children's terms
+  // in a different order: on the tie-rich integer grid the last bits
+  // differ. Near-ties are not transitive, so the order in which a
+  // vertex's candidates arrive can decide which of them tie: on the
+  // near-tie graph, from source 7, vertex 0 keeps two parents under
+  // DeltaSpd and three under DijkstraSpd.
+  const std::uint64_t expected[][2] = {
+      {0x462d7414c3a99624ULL, 0x462d7414c3a99624ULL},
+      {0xf3909724fda586ecULL, 0xf3909724fda586ecULL},
+      {0xf612ed7972273073ULL, 0xba394ee3954315feULL},
+      {0x088bea0b82f0912aULL, 0x088bea0b82f0912aULL},
+      {0xde5c9129f48730faULL, 0xde5c9129f48730faULL},
+      {0xceebb512a93c1ad7ULL, 0xceebb512a93c1ad7ULL},
+      {0x440ad062bea7dd2dULL, 0x18e70d780051ec4cULL},
+  };
+  const std::vector<Fixture> fixtures = WeightedFixtures();
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    const CsrGraph& g = fixtures[f].graph;
+    for (const auto& [config, spd] : WeightedConfigs()) {
+      DependencyOracle oracle(g, spd);
+      Fnv1a digest;
+      for (VertexId s : Sources(g.num_vertices())) {
+        digest.AddAll(oracle.Dependencies(s));
+      }
+      EXPECT_EQ(Hex(digest.value()), Hex(expected[f][0]))
+          << fixtures[f].name << " " << config;
+    }
+    DijkstraSpd dijkstra(g);
+    DependencyAccumulator accumulator(g);
+    Fnv1a digest;
+    for (VertexId s : Sources(g.num_vertices())) {
+      dijkstra.Run(s);
+      digest.AddAll(accumulator.Accumulate(dijkstra));
+    }
+    EXPECT_EQ(Hex(digest.value()), Hex(expected[f][1]))
+        << fixtures[f].name << " dijkstra";
+  }
+}
+
+TEST(PassDigestTest, WeightedRkCreditVectors) {
+  const std::uint64_t expected[] = {0xecf3e42b88a3981dULL,
+                                    0xea8b5705375ca80dULL,
+                                    0x19def63968ee8926ULL,
+                                    0x67b4c87a3e6aa0adULL,
+                                    0x28306aa7e18c5058ULL,
+                                    0x6521e1a1cc7b3427ULL,
+                                    0xaae25c1e064ef5edULL};
+  const std::vector<Fixture> fixtures = WeightedFixtures();
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    for (const auto& [config, spd] : WeightedConfigs()) {
+      DependencyOracle oracle(fixtures[f].graph, spd);
+      RkSampler rk(fixtures[f].graph, /*seed=*/0x4B, &oracle);
+      Fnv1a digest;
+      digest.AddAll(rk.EstimateAll(256));
+      EXPECT_EQ(Hex(digest.value()), Hex(expected[f]))
+          << fixtures[f].name << " " << config;
+    }
+  }
+}
+
+TEST(PassDigestTest, HeavySpokeScanStaysLinear) {
+  // From the hub, the path takes 500 one-vertex waves while 4000 spokes
+  // wait at distance 4000. A queue that rescanned every waiting entry on
+  // each wave would visit ~2,000,000 entries; a pass must stay within one
+  // visit per vertex and arc.
+  const CsrGraph g = HeavySpoke(500, 4000);
+  const std::uint64_t bound = g.num_vertices() + g.raw_adjacency().size();
+  ASSERT_EQ(bound, 17498u);
+  DeltaSpd spd(g);
+  spd.Run(0);
+  EXPECT_EQ(spd.dag().num_reached(), g.num_vertices());
+  EXPECT_LE(spd.last_stats().entries_scanned, bound);
 }
 
 TEST(PassDigestTest, AnalystSessionReport) {
