@@ -283,10 +283,11 @@ TEST(PassDigestTest, WeightedDependencyVectorsFromFixedSources) {
   // {DeltaSpd at every config, DijkstraSpd} per fixture. The two engines
   // settle in different orders, so a parent may fold its children's terms
   // in a different order: on the tie-rich integer grid the last bits
-  // differ. Near-ties are not transitive, so the order in which a
-  // vertex's candidates arrive can decide which of them tie: on the
-  // near-tie graph, from source 7, vertex 0 keeps two parents under
-  // DeltaSpd and three under DijkstraSpd.
+  // differ. On the near-tie graph the parent sets differ too, since
+  // DeltaSpd drops a tie that lands within tie_epsilon of its
+  // wave-settle bound: from source 7, vertex 0 settles in relay 1's wave,
+  // before relay 1's tying candidate arrives, so it keeps two parents
+  // under DeltaSpd and three under DijkstraSpd.
   const std::uint64_t expected[][2] = {
       {0x462d7414c3a99624ULL, 0x462d7414c3a99624ULL},
       {0xf3909724fda586ecULL, 0xf3909724fda586ecULL},
