@@ -233,9 +233,9 @@ struct EngineOptions {
   /// Memory budget (bytes) for the engine's dependency-vector memo, which
   /// every estimator of the engine shares; the entry capacity is
   /// DependencyMemo::CapacityFor(budget, graph) — budget over
-  /// DependencyMemo::EntryBytes (n doubles, plus n u32 hop distances
-  /// unweighted or n double weighted distances weighted, kept for edit
-  /// invalidation), capped at n entries — so the footprint stays bounded
+  /// DependencyMemo::EntryBytes (n doubles, plus n double weighted
+  /// distances on a weighted graph, kept for edit invalidation), capped at
+  /// n entries — so the footprint stays bounded
   /// on any graph size. The engine's shards share its memo. An engine
   /// constructed on a shared memo sizes that memo by the same rule; the
   /// engines sharing one have the same options and graph, so they agree,

@@ -5,54 +5,43 @@
 #include <limits>
 #include <utility>
 
+#include "sp/distance.h"
 #include "util/common.h"
 
 namespace mhbc {
 
 namespace {
 
-/// True when the edit batch provably leaves the pass' shortest-path DAG —
-/// and therefore its dependency vector, bit-for-bit — unchanged. `hops`
-/// holds the pass' pre-edit hop distances (kUnreachedDistance sentinel for
-/// unreached vertices; appended vertices index past the end and read as
-/// unreached). Unweighted criterion per edit {u,v}: the DAG is untouched
-/// iff dist(s,u) == dist(s,v) — an intra-level edge lies on no shortest
-/// path, removing one deletes no DAG edge and inserting one creates none,
-/// and two equal *unreached* sentinels mean the edit happens outside the
-/// pass' component entirely. Any distance mismatch can change distances,
-/// sigma counts, or the level structure, so the pass is dropped. The test
-/// is evaluated against the original distances for every edit in the
-/// batch, which is sound by induction: each passing edit leaves all
-/// distances unchanged, so the stored vector stays valid for the next
-/// edit. Vertex appends never touch an existing pass.
-bool PassSurvivesEdits(const std::vector<std::uint32_t>& hops,
-                       std::span<const GraphEdit> edits, bool directed) {
-  const auto dist_of = [&hops](VertexId v) {
-    return v < hops.size() ? hops[v] : kUnreachedDistance;
-  };
+using Candidates = std::vector<std::pair<VertexId, DependencyMemo::EntryPtr>>;
+
+/// The unweighted passes among `candidates` that survive every edit, tested
+/// on the post-edit graph edit by edit under the class comment's rule and
+/// work bound; adds the reverse passes run to *passes.
+Candidates UnweightedSurvivors(const CsrGraph& new_graph,
+                               std::span<const GraphEdit> edits,
+                               Candidates candidates, std::uint64_t* passes) {
+  // *passes is cumulative: the bound allows twice the candidates past it.
+  const std::uint64_t limit = *passes + 2 * std::uint64_t{candidates.size()};
   for (const GraphEdit& edit : edits) {
+    if (candidates.empty()) break;
     if (edit.kind == GraphEdit::Kind::kAddVertex) continue;
-    if (directed) {
-      // Directed arc u→v: only paths *through* the arc matter, and those
-      // enter at u. An unreached u can never feed the arc (insert or
-      // remove). A reached u leaves the DAG untouched iff the arc is
-      // slack: dist(u)+1 > dist(v) means it lies on no shortest path
-      // (remove deletes nothing) and cannot create or tie one (insert
-      // adds nothing). dist(u)+1 <= dist(v) — including an unreached v,
-      // which an insert would newly reach — can change distances or
-      // sigma, so the pass drops. The comparison is overflow-safe: u is
-      // reached, so dist(u)+1 fits.
-      const std::uint32_t du = dist_of(edit.u);
-      if (du == kUnreachedDistance) continue;
-      if (static_cast<std::uint64_t>(du) + 1 <=
-          static_cast<std::uint64_t>(dist_of(edit.v))) {
-        return false;
+    if (*passes + 2 > limit) return {};
+    const std::vector<std::uint32_t> to_u = BfsDistancesTo(new_graph, edit.u);
+    const std::vector<std::uint32_t> to_v = BfsDistancesTo(new_graph, edit.v);
+    *passes += 2;
+    std::erase_if(candidates, [&](const auto& candidate) {
+      const std::uint32_t du = to_u[candidate.first];
+      const std::uint32_t dv = to_v[candidate.first];
+      // Directed arc u→v: an unreached u survives; a reached u needs the
+      // arc slack, which an unreached v (the largest u32) never is.
+      if (new_graph.directed()) {
+        return du != kUnreachedDistance &&
+               static_cast<std::uint64_t>(du) + 1 <= dv;
       }
-      continue;
-    }
-    if (dist_of(edit.u) != dist_of(edit.v)) return false;
+      return du != dv;
+    });
   }
-  return true;
+  return candidates;
 }
 
 /// minw of one edit's endpoints on the pre-edit graph.
@@ -61,12 +50,13 @@ struct EndpointMinWeights {
   double v = 0.0;
 };
 
-/// Weighted companion of PassSurvivesEdits (see the class comment for the
-/// full soundness argument). `wdists` holds the pass' pre-edit weighted
-/// distances (-1 sentinel for unreached; appended vertices index past the
-/// end and read as unreached); `minw[i]` holds the pre-edit minimum
-/// incident weights of edits[i]'s endpoints, the quantity the wave rule
-/// depends on, and `eps` is the canonical tie epsilon. Per edit {u,v,w}:
+/// True when the edit batch provably leaves the weighted pass' DAG, and so
+/// its dependency vector, unchanged (see the class comment). `wdists` holds
+/// the pass' pre-edit weighted distances (-1 sentinel for unreached;
+/// appended vertices index past the end and read as unreached); `minw[i]`
+/// holds the pre-edit minimum incident weights of edits[i]'s endpoints, the
+/// quantity the wave rule depends on, and `eps` is the canonical tie
+/// epsilon. Per edit {u,v,w}:
 /// both endpoints unreached survives (the edit cannot touch the pass'
 /// component); one reached endpoint drops (an inserted edge extends the
 /// component, and an undirected edge with one reached endpoint always made
@@ -133,9 +123,8 @@ bool WeightedPassSurvivesEdits(const std::vector<double>& wdists,
 }  // namespace
 
 std::size_t DependencyMemo::EntryBytes(const CsrGraph& graph) {
-  return static_cast<std::size_t>(graph.num_vertices()) *
-         (graph.weighted() ? sizeof(double) + sizeof(double)
-                           : sizeof(double) + sizeof(std::uint32_t));
+  return static_cast<std::size_t>(graph.num_vertices()) * sizeof(double) *
+         (graph.weighted() ? 2 : 1);
 }
 
 std::size_t DependencyMemo::CapacityFor(std::size_t budget_bytes,
@@ -180,11 +169,7 @@ DependencyMemo::EntryPtr DependencyMemo::Insert(
   // Copy outside the lock: other oracles keep reading meanwhile.
   auto entry = std::make_shared<Entry>();
   entry->deps = deps;
-  if (weighted) {
-    entry->wdists = dag.wdist;
-  } else {
-    entry->hops = dag.dist;
-  }
+  if (weighted) entry->wdists = dag.wdist;
   const std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return entry;
   const auto it = entries_.find(source);
@@ -202,20 +187,28 @@ std::shared_ptr<DependencyMemo> DependencyMemo::Carry(
   // Snapshot under the lock, then filter without it: oracles still on the
   // pre-edit graph keep reading and filling this memo meanwhile.
   auto next = std::make_shared<DependencyMemo>();
-  std::vector<std::pair<VertexId, EntryPtr>> entries;
+  Candidates entries;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     next->capacity_ = capacity_;
     next->hits_ = hits_;
     next->inserts_ = inserts_;
     next->invalidated_ = invalidated_;
+    next->carry_passes_ = carry_passes_;
     entries.assign(entries_.begin(), entries_.end());
   }
   const bool weighted = new_graph.weighted();
-  const bool directed = new_graph.directed();
   const std::size_t n = new_graph.num_vertices();
-  std::vector<EndpointMinWeights> minw;
-  if (weighted && !entries.empty()) {
+  const std::size_t held = entries.size();
+  // A pass of the other distance kind (a weightedness flip) re-keys every
+  // distance and never survives.
+  std::erase_if(entries, [weighted](const auto& candidate) {
+    return candidate.second->wdists.empty() == weighted;
+  });
+  if (!weighted) {
+    entries = UnweightedSurvivors(new_graph, edits, std::move(entries),
+                                  &next->carry_passes_);
+  } else if (!entries.empty()) {
     MHBC_DCHECK(old_min_weight);
     // Appended vertices have no pre-edit minw; the test never reads one,
     // because they are unreached by every stored pass.
@@ -228,38 +221,28 @@ std::shared_ptr<DependencyMemo> DependencyMemo::Carry(
       return v < old_n ? old_min_weight(v)
                        : std::numeric_limits<double>::infinity();
     };
+    std::vector<EndpointMinWeights> minw;
     minw.reserve(edits.size());
     for (const GraphEdit& edit : edits) {
       minw.push_back(edit.kind == GraphEdit::Kind::kAddVertex
                          ? EndpointMinWeights{}
                          : EndpointMinWeights{minw_of(edit.u), minw_of(edit.v)});
     }
+    std::erase_if(entries, [&](const auto& candidate) {
+      return !WeightedPassSurvivesEdits(candidate.second->wdists, edits, minw,
+                                        tie_epsilon, new_graph.directed());
+    });
   }
+  next->invalidated_ += held - entries.size();
   next->entries_.reserve(entries.size());
   for (auto& [source, entry] : entries) {
-    // A pass of the other distance kind (a weightedness flip) re-keys
-    // every distance and never survives.
-    const bool survives =
-        weighted ? !entry->wdists.empty() &&
-                       WeightedPassSurvivesEdits(entry->wdists, edits, minw,
-                                                 tie_epsilon, directed)
-                 : !entry->hops.empty() &&
-                       PassSurvivesEdits(entry->hops, edits, directed);
-    if (!survives) {
-      ++next->invalidated_;
-      continue;
-    }
     // Surviving passes never reach an appended vertex: extend a copy with
     // the exact values a fresh pass on the new graph would store (the old
     // entry stays as it is for the pre-edit graph's readers).
     if (entry->deps.size() < n) {
       auto extended = std::make_shared<Entry>(*entry);
       extended->deps.resize(n, 0.0);
-      if (weighted) {
-        extended->wdists.resize(n, -1.0);
-      } else {
-        extended->hops.resize(n, kUnreachedDistance);
-      }
+      if (weighted) extended->wdists.resize(n, -1.0);
       entry = std::move(extended);
     }
     next->entries_.emplace(source, std::move(entry));
@@ -275,6 +258,7 @@ DependencyMemoStats DependencyMemo::Stats() const {
   stats.hits = hits_;
   stats.inserts = inserts_;
   stats.invalidated = invalidated_;
+  stats.carry_passes = carry_passes_;
   return stats;
 }
 

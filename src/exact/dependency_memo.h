@@ -19,10 +19,10 @@
 
 namespace mhbc {
 
-/// Point-in-time counters of one DependencyMemo. hits, inserts and
-/// invalidated count from the memo's construction, and a memo made by
-/// Carry starts from its predecessor's counts at the carry, so along a
-/// chain of epochs they never decrease.
+/// Point-in-time counters of one DependencyMemo. hits, inserts,
+/// invalidated and carry_passes count from the memo's construction, and a
+/// memo made by Carry starts from its predecessor's counts at the carry,
+/// so along a chain of epochs they never decrease.
 struct DependencyMemoStats {
   /// Memoized passes currently held.
   std::size_t entries = 0;
@@ -33,15 +33,17 @@ struct DependencyMemoStats {
   /// Passes stored.
   std::uint64_t inserts = 0;
   /// Entries a graph edit dropped: those that failed Carry's survival
-  /// test.
+  /// test or were left untested by its work bound.
   std::uint64_t invalidated = 0;
+  /// Reverse BFS passes Carry ran to test unweighted entries (two per
+  /// edge edit while a candidate is left).
+  std::uint64_t carry_passes = 0;
 };
 
 /// Memoized single-source passes of one graph: per source, the dependency
-/// vector delta_{s.}(.) plus the pass' distances — hop distances on
-/// unweighted graphs, weighted distances on weighted ones — kept for the
-/// edit-survival test. The memo owns that entry format and its byte-sizing
-/// rule (EntryBytes, CapacityFor).
+/// vector delta_{s.}(.), plus the pass' distances on weighted graphs for
+/// the edit-survival test. The memo owns that entry format and its
+/// byte-sizing rule (EntryBytes, CapacityFor).
 ///
 /// Sharing. Every method is thread-safe (one std::mutex), so several
 /// oracles — the sessions of one served graph (serve/catalog.h), each on
@@ -61,11 +63,28 @@ struct DependencyMemoStats {
 /// memo with the new graph; a standalone oracle carries its own memo in
 /// DependencyOracle::ApplyGraphDelta.
 ///
-/// Edit survival. For unweighted graphs an edit {u,v} provably leaves a
-/// pass' whole shortest-path DAG — distances, sigma, canonical order, and
-/// therefore the dependency vector bit-for-bit — unchanged iff
-/// dist(s,u) == dist(s,v) (an intra-level or fully-unreached edge lies on
-/// no shortest path, and inserting one creates none). Weighted passes
+/// Edit survival. Passes failing their test for any edit of a batch are
+/// dropped; survivors are extended with unreached sentinels for appended
+/// vertices, as a fresh pass on the new graph would compute them.
+///
+/// Unweighted passes are tested on the post-edit graph alone, so the
+/// pre-edit graph may be the same object edited in place. Per edge edit
+/// {u,v}, one reverse BFS from each endpoint (BfsDistancesTo) gives d'(s,u)
+/// and d'(s,v) for every memoized source s; the pass from s survives iff
+/// d'(s,u) == d'(s,v), or, for the directed arc u→v, u is unreached or
+/// d'(s,u) + 1 > d'(s,v). When every edit passes, each edge the batch
+/// touched lies on no shortest path of the post-edit graph, and adding back
+/// a removed one creates none, so both graphs have the same distances,
+/// sigma, DAG and canonical order from s: the vector is unchanged bit for
+/// bit. The argument also runs on the pre-edit distances d, and either rule
+/// passing gives d == d', so both keep the same entries. Work bound: a
+/// carry runs at most two reverse passes per entry it starts with (two per
+/// edit, so a one-edit batch is always tested in full), stops once no
+/// candidate is left, and drops the candidates still untested when the
+/// bound is spent, which costs only passes.
+///
+/// Weighted passes keep their distances, which carry the wave-settle tie
+/// rule that a reverse Dijkstra does not reproduce bit for bit. They
 /// survive an edit {u,v,w} iff (a) both endpoints were unreached (the edit
 /// happens outside the pass' component), or (b) both were reached, the
 /// edge is *slack both ways* — wdist(s,u) + w exceeds wdist(s,v) by more
@@ -77,17 +96,13 @@ struct DependencyMemoStats {
 /// settle order, the level slices, and every floating-point regrouping
 /// downstream — is a function of distances and per-vertex minimum incident
 /// weights alone (the bucket width drifts with the mean edge weight, but
-/// outputs are invariant under it, see sp/delta_spd.h). Passes failing
-/// their test for any edit in the batch are dropped; survivors are
-/// extended with unreached sentinels for appended vertices, exactly as a
-/// fresh pass on the new graph would compute them.
+/// outputs are invariant under it, see sp/delta_spd.h).
 class DependencyMemo {
  public:
   /// One memoized pass. Immutable once stored.
   struct Entry {
     std::vector<double> deps;
-    std::vector<std::uint32_t> hops;  ///< unweighted passes
-    std::vector<double> wdists;       ///< weighted passes
+    std::vector<double> wdists;  ///< weighted passes only
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
@@ -101,9 +116,8 @@ class DependencyMemo {
   DependencyMemo(const DependencyMemo&) = delete;
   DependencyMemo& operator=(const DependencyMemo&) = delete;
 
-  /// Bytes one entry costs on `graph`: n doubles of dependencies plus the
-  /// pass distances kept for edit survival (n u32 hop distances
-  /// unweighted, n double weighted distances weighted).
+  /// Bytes one entry costs on `graph`: n doubles of dependencies, plus n
+  /// double weighted distances on a weighted graph.
   static std::size_t EntryBytes(const CsrGraph& graph);
 
   /// Entry capacity that fits `budget_bytes` on `graph`, capped at n (more
@@ -124,7 +138,7 @@ class DependencyMemo {
   EntryPtr Find(VertexId source);
 
   /// Stores the pass from `source` that produced `deps` on `dag` (weighted
-  /// passes keep dag.wdist, unweighted ones dag.dist) and returns the entry
+  /// passes also keep dag.wdist) and returns the entry
   /// now held for `source` — another oracle's bit-identical entry when it
   /// got there first. The returned entry is valid even when the memo keeps
   /// nothing; callers check capacity() first to skip the copy when off.
@@ -136,10 +150,12 @@ class DependencyMemo {
   /// The new memo holds the entries that survive every edit (see the class
   /// comment), shared by pointer and extended to new_graph's vertex count,
   /// and starts from this memo's capacity and counters, with the dropped
-  /// entries counted as invalidated. `tie_epsilon` is the canonical tie
+  /// entries counted as invalidated and the reverse passes of the
+  /// unweighted test as carry_passes. `tie_epsilon` is the canonical tie
   /// window the weighted passes ran with (SpdOptions::tie_epsilon), and
   /// `old_min_weight` reads the pre-edit graph's minw; both are consulted
-  /// on weighted graphs only. This memo is left as it is.
+  /// on weighted graphs only, so an unweighted carry reads no graph but
+  /// `new_graph`. This memo is left as it is.
   std::shared_ptr<DependencyMemo> Carry(const CsrGraph& new_graph,
                                         std::span<const GraphEdit> edits,
                                         double tie_epsilon,
@@ -155,6 +171,7 @@ class DependencyMemo {
   std::uint64_t hits_ = 0;
   std::uint64_t inserts_ = 0;
   std::uint64_t invalidated_ = 0;
+  std::uint64_t carry_passes_ = 0;
 };
 
 }  // namespace mhbc

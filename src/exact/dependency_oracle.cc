@@ -68,7 +68,7 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
   const std::vector<double>& deps = delta_ ? accumulator_.Accumulate(*delta_)
                                            : accumulator_.Accumulate(*bfs_);
   if (memo_->capacity() == 0) return deps;
-  // Each pass keeps its distances for the edit-survival test.
+  // A weighted pass keeps its distances for the edit-survival test.
   returned_ = memo_->Insert(source, deps, dag, graph_->weighted());
   return returned_->deps;
 }

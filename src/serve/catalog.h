@@ -132,7 +132,8 @@ struct GraphEntryStats {
   /// The served graph at `epoch`.
   GraphShape shape;
   /// The current epoch's dependency memo, shared by its sessions. hits,
-  /// inserts and invalidated are cumulative over the entry's epochs.
+  /// inserts, invalidated and carry_passes are cumulative over the entry's
+  /// epochs.
   DependencyMemoStats memo;
 };
 

@@ -380,7 +380,8 @@ std::string Server::ExecuteStats(const ServeRequest& request) {
            << ", \"memo_capacity\": " << g.memo.capacity
            << ", \"memo_hits\": " << g.memo.hits
            << ", \"memo_inserts\": " << g.memo.inserts
-           << ", \"memo_invalidated\": " << g.memo.invalidated << "}";
+           << ", \"memo_invalidated\": " << g.memo.invalidated
+           << ", \"memo_carry_passes\": " << g.memo.carry_passes << "}";
   }
   result << "], \"queue_depth\": " << server.queue_depth
          << ", \"queue_capacity\": " << options_.queue_capacity

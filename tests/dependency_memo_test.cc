@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "centrality/engine.h"
@@ -294,6 +296,134 @@ TEST(DependencyMemoTest, MutateFiltersTheSharedMemoOnce) {
   CheckMutateFiltersOnce(caveman.value(),
                          MakeRandomEditScript(caveman.value(), 3, 0xd17a),
                          {0, 8, 17});
+}
+
+/// The edit-survival rule the memo applied while unweighted entries kept
+/// their pre-edit hop distances `dist`: the pass survives iff every edge
+/// edit {u,v} has dist(u) == dist(v) (the directed arc u→v: u unreached or
+/// dist(u) + 1 > dist(v)); appended vertices read as unreached.
+bool PreEditHopRuleKeeps(const std::vector<std::uint32_t>& dist,
+                         std::span<const GraphEdit> edits, bool directed) {
+  const auto dist_of = [&dist](VertexId v) -> std::uint64_t {
+    return v < dist.size() ? dist[v] : kUnreachedDistance;
+  };
+  for (const GraphEdit& edit : edits) {
+    if (edit.kind == GraphEdit::Kind::kAddVertex) continue;
+    const std::uint64_t du = dist_of(edit.u);
+    const std::uint64_t dv = dist_of(edit.v);
+    if (directed ? du != kUnreachedDistance && du + 1 <= dv : du != dv) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A memo holding every source of `graph`, carried across `delta`, keeps
+/// exactly the sources the pre-edit hop rule keeps (a full memo never meets
+/// the work bound here: 2n reverse passes cover any batch of n edits), and
+/// every survivor equals a fresh pass on the post-edit graph. Returns the
+/// survivor count.
+std::size_t CheckCarryMatchesPreEditRule(const CsrGraph& graph,
+                                         const GraphDelta& delta) {
+  const VertexId n = graph.num_vertices();
+  DynamicGraph dynamic(graph);
+  std::vector<GraphEdit> resolved;
+  EXPECT_TRUE(dynamic.Apply(delta, &resolved).ok());
+  const CsrGraph& next = dynamic.Csr();
+  auto memo = std::make_shared<DependencyMemo>(n);
+  DependencyOracle oracle(graph, SpdOptions(), memo);
+  std::vector<VertexId> want;
+  BfsSpd bfs(graph);
+  for (VertexId s = 0; s < n; ++s) {
+    (void)oracle.Dependencies(s);
+    bfs.Run(s);
+    if (PreEditHopRuleKeeps(bfs.dag().dist, resolved, graph.directed())) {
+      want.push_back(s);
+    }
+  }
+  const auto carried = memo->Carry(next, resolved, SpdOptions().tie_epsilon,
+                                   DependencyMemo::MinWeightFn());
+  std::vector<VertexId> got;
+  for (VertexId s = 0; s < n; ++s) {
+    const DependencyMemo::EntryPtr entry = carried->Find(s);
+    if (entry == nullptr) continue;
+    got.push_back(s);
+    EXPECT_EQ(entry->deps, FreshDependencies(next, s)) << "source " << s;
+  }
+  EXPECT_EQ(got, want);
+  const DependencyMemoStats stats = carried->Stats();
+  EXPECT_EQ(stats.invalidated, n - got.size());
+  EXPECT_LE(stats.carry_passes, 2 * resolved.size());
+  return got.size();
+}
+
+TEST(DependencyMemoTest, CarriedSurvivorsMatchThePreEditHopRule) {
+  const std::vector<std::pair<const char*, CsrGraph>> graphs = {
+      {"ba-150", MakeBarabasiAlbert(150, 3, 0x5eed)},
+      {"directed-150", MakeRandomDirected(150, 300, 0xd1)},
+      {"grid-10x10", MakeGrid(10, 10)}};
+  for (const auto& [name, graph] : graphs) {
+    SCOPED_TRACE(name);
+    std::size_t survivors = 0;
+    for (std::size_t edits = 1; edits <= 8; ++edits) {
+      for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << edits << " edits, seed " << seed);
+        survivors += CheckCarryMatchesPreEditRule(
+            graph, MakeRandomEditScript(graph, edits, 0xca77 + seed));
+      }
+    }
+    // A vertex appended with an edge to it: its anchor's reached sources
+    // newly reach it and drop, the others keep their pass.
+    GraphDelta append;
+    append.AddVertices(1);
+    append.AddEdge(graph.num_vertices() / 2, graph.num_vertices());
+    survivors += CheckCarryMatchesPreEditRule(graph, append);
+    EXPECT_GT(survivors, 0u);  // some carries kept entries to compare
+  }
+}
+
+// The work bound: a carry runs at most two reverse passes per entry it
+// starts with. On the 5×5 grid the chords 0–6 and 0–2 both join vertices at
+// one hop from source 1, so its pass survives either edit, and the pair.
+TEST(DependencyMemoTest, CarryDropsWhatItsPassBoundLeavesUntested) {
+  const CsrGraph start = MakeGrid(5, 5);
+  GraphDelta one;
+  one.AddEdge(0, 6);
+  GraphDelta two = one;
+  two.AddEdge(0, 2);
+  const auto carry = [&start](const GraphDelta& delta,
+                              const std::vector<VertexId>& warmed) {
+    DynamicGraph dynamic(start);
+    std::vector<GraphEdit> resolved;
+    EXPECT_TRUE(dynamic.Apply(delta, &resolved).ok());
+    auto memo = std::make_shared<DependencyMemo>(warmed.size());
+    DependencyOracle oracle(start, SpdOptions(), memo);
+    for (const VertexId s : warmed) (void)oracle.Dependencies(s);
+    BfsSpd bfs(start);
+    bfs.Run(1);
+    EXPECT_TRUE(PreEditHopRuleKeeps(bfs.dag().dist, resolved, false));
+    const auto carried = memo->Carry(dynamic.Csr(), resolved,
+                                     SpdOptions().tie_epsilon,
+                                     DependencyMemo::MinWeightFn());
+    return carried->Stats();
+  };
+  // One entry, one edit: two reverse passes, the whole budget; it stays.
+  DependencyMemoStats stats = carry(one, {1});
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.carry_passes, 2u);
+  EXPECT_EQ(stats.invalidated, 0u);
+  // One entry, two edits: the second edit would need a third reverse pass,
+  // so the entry is dropped untested.
+  stats = carry(two, {1});
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.carry_passes, 2u);
+  EXPECT_EQ(stats.invalidated, 1u);
+  // With source 24 (which the first chord drops) beside it, the budget is
+  // four passes: both edits are tested and source 1 stays.
+  stats = carry(two, {1, 24});
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.carry_passes, 4u);
+  EXPECT_EQ(stats.invalidated, 1u);
 }
 
 TEST(DependencyMemoTest, MutateFiltersTheSharedWeightedMemoOnce) {

@@ -104,14 +104,13 @@ TEST(EngineTest, RepeatedQueryIsServedFromCaches) {
 
 TEST(EngineTest, ShardMemoKeepsOneEntryUnderATinyBudget) {
   // A sharded fan-out runs its shards on the engine's memo, sized from the
-  // engine's budget: here exactly one entry (n doubles plus n u32 hop
-  // distances on an unweighted graph). The shards must keep memoizing in
-  // that one entry while they fill it concurrently.
+  // engine's budget: here exactly one entry (n doubles on an unweighted
+  // graph). The shards must keep memoizing in that one entry while they
+  // fill it concurrently.
   const CsrGraph g = MakePath(4);
   EngineOptions options;
   options.num_threads = 2;
-  options.dependency_cache_bytes =
-      g.num_vertices() * (sizeof(double) + sizeof(std::uint32_t));
+  options.dependency_cache_bytes = g.num_vertices() * sizeof(double);
   BetweennessEngine engine(g, options);
   EstimateRequest request;
   request.kind = EstimatorKind::kMetropolisHastings;

@@ -199,11 +199,12 @@ TEST_F(ServeProtocolTest, MutateAddingTooManyVerticesIsFieldClass) {
 }
 
 // `stats` reports the graph's dependency memo: a repeated estimate is served
-// from it (hits rise, inserts do not), and a mutate drops entries.
+// from it (hits rise, inserts do not), and a mutate drops entries after two
+// reverse passes (one per endpoint of its one edit).
 TEST_F(ServeProtocolTest, StatsReportTheGraphsMemo) {
   struct Memo {
     double entries = -1, capacity = -1, hits = -1, inserts = -1,
-           invalidated = -1;
+           invalidated = -1, carry_passes = -1;
   };
   const auto read_memo = [this] {
     Memo memo;
@@ -224,6 +225,7 @@ TEST_F(ServeProtocolTest, StatsReportTheGraphsMemo) {
     memo.hits = field("memo_hits");
     memo.inserts = field("memo_inserts");
     memo.invalidated = field("memo_invalidated");
+    memo.carry_passes = field("memo_carry_passes");
     return memo;
   };
   const std::string estimate =
@@ -236,6 +238,7 @@ TEST_F(ServeProtocolTest, StatsReportTheGraphsMemo) {
   EXPECT_EQ(fresh.hits, 0.0);
   EXPECT_EQ(fresh.inserts, 0.0);
   EXPECT_EQ(fresh.invalidated, 0.0);
+  EXPECT_EQ(fresh.carry_passes, 0.0);
 
   ASSERT_TRUE(ParseServeResponse(server_->Call(estimate)).value().ok);
   const Memo served = read_memo();
@@ -258,6 +261,7 @@ TEST_F(ServeProtocolTest, StatsReportTheGraphsMemo) {
   const Memo mutated = read_memo();
   EXPECT_LT(mutated.entries, repeated.entries);
   EXPECT_EQ(mutated.invalidated, repeated.entries - mutated.entries);
+  EXPECT_EQ(mutated.carry_passes, 2.0);
   ExpectStillServing();
 }
 
