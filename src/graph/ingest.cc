@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -270,6 +271,19 @@ StatusOr<CsrGraph> LoadMatrixMarket(const std::string& path, bool directed) {
   if (rows == 0 || rows > static_cast<std::uint64_t>(kInvalidVertex)) {
     return Status::InvalidArgument("'" + path + "': vertex count " +
                                    std::to_string(rows) + " out of range");
+  }
+  // Refuse a count the entries cannot reach before the builder is sized
+  // from it; 2 x entries saturates for entry counts near 2^64.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kAllowance = kMatrixMarketIsolatedVertexAllowance;
+  const std::uint64_t reachable =
+      entries > (kMax - kAllowance) / 2 ? kMax : 2 * entries + kAllowance;
+  if (rows > reachable) {
+    return Status::InvalidArgument(
+        "'" + path + "' line " + std::to_string(line_no) + ": size line " +
+        "declares " + std::to_string(rows) + " vertices, more than " +
+        std::to_string(reachable) + " (2 x " + std::to_string(entries) +
+        " entries + " + std::to_string(kAllowance) + " isolated)");
   }
 
   const bool symmetric = symmetry == "symmetric";

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "graph/csr_graph.h"
@@ -151,12 +152,21 @@ class GraphSource {
 StatusOr<GraphSource> OpenGraphSource(const std::string& path,
                                       const IngestOptions& options = IngestOptions());
 
+/// Isolated vertices a Matrix Market size line may declare beyond the two
+/// endpoints of each entry: LoadMatrixMarket refuses a vertex count above
+/// 2 x entries + this allowance, so what it allocates stays proportional to
+/// the entries it reads.
+inline constexpr std::uint64_t kMatrixMarketIsolatedVertexAllowance =
+    std::uint64_t{1} << 20;
+
 /// Loads a Matrix Market coordinate file: real/integer values become
 /// positive edge weights (all-1 values yield an unweighted graph),
 /// pattern entries unweighted edges; self-loops are dropped; the matrix
-/// must be square. Undirected (default): duplicate/general-format mirror
-/// entries merge. Directed: each entry is the arc row→col; a `symmetric`
-/// file contributes both orientations of every off-diagonal entry.
+/// must be square, with at most 2 x entries +
+/// kMatrixMarketIsolatedVertexAllowance rows. Undirected (default):
+/// duplicate/general-format mirror entries merge. Directed: each entry is
+/// the arc row→col; a `symmetric` file contributes both orientations of
+/// every off-diagonal entry.
 StatusOr<CsrGraph> LoadMatrixMarket(const std::string& path,
                                     bool directed = false);
 

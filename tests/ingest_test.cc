@@ -152,6 +152,43 @@ TEST_F(IngestTest, MatrixMarketRejectsMalformedInput) {
   std::ofstream(complex_field)
       << "%%MatrixMarket matrix coordinate complex general\n3 3 1\n1 2 1 0\n";
   EXPECT_FALSE(LoadMatrixMarket(complex_field).ok());
+
+  // A size line whose vertex count one entry cannot reach is refused before
+  // anything is sized from it (4e9 vertices would be tens of GB).
+  const std::string header =
+      "%%MatrixMarket matrix coordinate pattern general\n";
+  const auto load = [&](const std::string& leaf, const std::string& body) {
+    std::ofstream(Path(leaf)) << header << body;
+    return LoadMatrixMarket(Path(leaf));
+  };
+  const auto huge = load("huge.mtx", "4000000000 4000000000 1\n1 2\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge.status().message().find("line 2: size line"),
+            std::string::npos)
+      << huge.status().message();
+  const std::uint64_t boundary = 2 + kMatrixMarketIsolatedVertexAllowance;
+  const std::string past = std::to_string(boundary + 1);
+  const auto over = load("over.mtx", past + " " + past + " 1\n1 2\n");
+  ASSERT_FALSE(over.ok());
+  EXPECT_NE(over.status().message().find("size line"), std::string::npos);
+  // 2 x entries saturates instead of wrapping: 2^63 entries would wrap to
+  // 0, so the count below passes the size check and the file is refused
+  // for holding one entry, not for its size.
+  const std::string wraps =
+      std::to_string(kMatrixMarketIsolatedVertexAllowance + 5);
+  const auto saturated =
+      load("wrap.mtx", wraps + " " + wraps + " 9223372036854775808\n1 2\n");
+  ASSERT_FALSE(saturated.ok());
+  EXPECT_NE(saturated.status().message().find("promises"), std::string::npos)
+      << saturated.status().message();
+
+  // At the allowance the file loads: two endpoints plus isolated vertices.
+  const std::string at = std::to_string(boundary);
+  const auto edge = load("edge.mtx", at + " " + at + " 1\n1 2\n");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge.value().num_vertices(), boundary);
+  EXPECT_EQ(edge.value().num_edges(), 1u);
 }
 
 TEST_F(IngestTest, CacheDirServesSnapshotOnSecondOpen) {
