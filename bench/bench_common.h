@@ -26,9 +26,10 @@
 
 /// \file
 /// Shared helpers for the experiment harnesses (bench_e*). Each harness
-/// regenerates one table/figure of the reconstructed evaluation suite
-/// (DESIGN.md §5) and prints a markdown table plus the seeds used, so every
-/// row of EXPERIMENTS.md can be reproduced by re-running the binary.
+/// regenerates one table/figure of the reconstructed evaluation suite,
+/// described in its file header, and prints a markdown table (plus its
+/// BENCH_<id>.json twin) from fixed seeds, so every row can be reproduced
+/// by re-running the binary.
 
 namespace mhbc::bench {
 

@@ -9,7 +9,7 @@
 // t threads are bit-identical to the 1-thread run ("det" column), and
 // reports per-pass throughput ("p/s": forward shortest-path passes per
 // second — the hardware-independent unit estimators are priced in, and
-// the number bench_e22 tracks for the intra-pass axis). Speedup on a
+// the number bench_e20 tracks for the intra-pass axis). Speedup on a
 // machine with fewer hardware threads than t tops out at the hardware
 // (this harness reports, it does not assert).
 //

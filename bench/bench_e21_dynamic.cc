@@ -1,13 +1,14 @@
 // E21 — dynamic graphs: amortized incremental re-estimate vs cold rebuild.
 //
-// PR 5 opened the streaming-update scenario: BetweennessEngine::ApplyDelta
-// edits the served graph in place, selectively keeping every memoized
-// shortest-path pass the edit batch provably does not touch
-// (DependencyOracle::ApplyGraphDelta) while whole-graph products rebuild.
-// This harness quantifies the payoff on registry graphs: for each edit
-// batch size it generates random edit scripts (MakeRandomEditScript — the
-// same distribution the equivalence test harness locks down), then
-// measures per round
+// BetweennessEngine::ApplyDelta edits the served graph in place,
+// selectively keeping every memoized shortest-path pass the edit batch
+// provably does not touch (DependencyMemo::Carry) while whole-graph
+// products rebuild. This harness quantifies the payoff on registry graphs,
+// unweighted and with uniform [1,3] edge weights (the weighted survival
+// test runs on minimum incident weights): for each edit batch size it
+// generates random edit scripts (MakeRandomEditScript — the same
+// distribution the equivalence test harness locks down), then measures
+// per round
 //
 //   incremental — ApplyDelta on the live engine + re-estimate, vs
 //   cold       — rebuild the post-edit graph from its edge list through
@@ -15,10 +16,12 @@
 //
 // Both paths must agree bit-for-bit on every statistical report field
 // (the mutation determinism contract, centrality/engine.h); the `ident`
-// column re-checks that per row. The expected shape: incremental wins big
-// at batch size 1 (most passes survive one edit) and converges to the
-// cold cost as batches grow (each extra edit multiplies the chance a
-// cached BFS tree is touched).
+// column re-checks that per row, and any `NO` exits 1. The expected
+// shape: incremental wins big at batch size 1 (most passes survive one
+// edit) and converges to the cold cost as batches grow (each extra edit
+// multiplies the chance a cached pass is touched). The run exits 2 unless
+// some batch of at most 4 edits needs fewer passes than a cold engine,
+// among the unweighted rows and again among the weighted rows.
 //
 //   bench_e21_dynamic [--smoke] [dataset ...]
 //     default datasets: email-like-1k road-like-grid45
@@ -26,6 +29,7 @@
 //
 // Emits BENCH_e21.json next to the markdown output (bench_common.h).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -35,6 +39,7 @@
 #include "centrality/engine.h"
 #include "datasets/registry.h"
 #include "graph/dynamic_graph.h"
+#include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "util/common.h"
 #include "util/table.h"
@@ -57,12 +62,9 @@ bool ReportsIdentical(const mhbc::EstimateReport& a,
 /// the cost a system without ApplyDelta pays to serve the post-edit graph.
 CsrGraph RebuildFromEdges(const CsrGraph& graph) {
   mhbc::GraphBuilder builder(graph.num_vertices());
+  builder.set_directed(graph.directed());
   for (const CsrGraph::Edge& edge : graph.CollectEdges()) {
-    if (graph.weighted()) {
-      builder.AddWeightedEdge(edge.u, edge.v, edge.weight);
-    } else {
-      builder.AddEdge(edge.u, edge.v);
-    }
+    builder.AddWeightedEdge(edge.u, edge.v, edge.weight);
   }
   auto built = builder.Build();
   if (!built.ok()) {
@@ -163,76 +165,97 @@ int main(int argc, char** argv) {
   report.AddMeta("smoke", smoke ? "true" : "false");
 
   bool all_identical = true;
-  double best_small_batch_speedup = 0.0;
   // The exit gate compares shortest-path pass counts, not wall clock:
   // pass counts are deterministic for fixed seeds, so the CI smoke run
-  // cannot flake on a noisy shared runner.
-  double best_small_batch_pass_ratio = 0.0;
-  std::string best_small_batch_dataset;
+  // cannot flake on a noisy shared runner. Unweighted and weighted rows
+  // are gated apart, since their edit-survival tests differ.
+  struct SmallBatchBest {
+    double speedup = 0.0;
+    double pass_ratio = 0.0;
+    std::string dataset;
+  };
+  SmallBatchBest best[2];  // [0] unweighted rows, [1] weighted rows
   for (const std::string& name : datasets) {
     auto made = mhbc::MakeDataset(name);
     if (!made.ok()) {
       std::fprintf(stderr, "error: %s\n", made.status().ToString().c_str());
       return 1;
     }
-    const CsrGraph& graph = made.value();
-    mhbc::Table table({"estimator", "edit batch", "incr ms/round",
-                       "cold ms/round", "speedup", "incr passes",
-                       "cold passes", "ident"});
-    std::uint64_t seed = 0xE21'0000;
-    for (const mhbc::EstimatorKind kind : kinds) {
-      for (const std::size_t batch : batches) {
-        const RowResult row = RunRows(graph, kind, batch, rounds, seed);
-        seed += 0x1000;
-        const double speedup =
-            row.incremental_ms > 0.0 ? row.cold_ms / row.incremental_ms : 0.0;
-        all_identical = all_identical && row.identical;
-        if (batch <= 4) {
-          best_small_batch_speedup = std::max(best_small_batch_speedup, speedup);
-          const double pass_ratio =
-              row.incremental_passes > 0
-                  ? static_cast<double>(row.cold_passes) /
-                        static_cast<double>(row.incremental_passes)
-                  : 0.0;
-          if (pass_ratio > best_small_batch_pass_ratio) {
-            best_small_batch_pass_ratio = pass_ratio;
-            best_small_batch_dataset = name;
+    const CsrGraph weighted_copy =
+        mhbc::AssignUniformWeights(made.value(), 1.0, 3.0, 0xE24);
+    for (const bool weighted : {false, true}) {
+      const CsrGraph& graph = weighted ? weighted_copy : made.value();
+      SmallBatchBest& gate = best[weighted ? 1 : 0];
+      mhbc::Table table({"estimator", "edit batch", "incr ms/round",
+                         "cold ms/round", "speedup", "incr passes",
+                         "cold passes", "ident"});
+      std::uint64_t seed = 0xE21'0000;
+      for (const mhbc::EstimatorKind kind : kinds) {
+        for (const std::size_t batch : batches) {
+          const RowResult row = RunRows(graph, kind, batch, rounds, seed);
+          seed += 0x1000;
+          const double speedup = row.incremental_ms > 0.0
+                                     ? row.cold_ms / row.incremental_ms
+                                     : 0.0;
+          all_identical = all_identical && row.identical;
+          if (batch <= 4) {
+            gate.speedup = std::max(gate.speedup, speedup);
+            const double pass_ratio =
+                row.incremental_passes > 0
+                    ? static_cast<double>(row.cold_passes) /
+                          static_cast<double>(row.incremental_passes)
+                    : 0.0;
+            if (pass_ratio > gate.pass_ratio) {
+              gate.pass_ratio = pass_ratio;
+              gate.dataset = name;
+            }
           }
+          table.AddRow({mhbc::EstimatorKindName(kind), std::to_string(batch),
+                        mhbc::FormatDouble(row.incremental_ms, 3),
+                        mhbc::FormatDouble(row.cold_ms, 3),
+                        mhbc::FormatDouble(speedup, 2) + "x",
+                        std::to_string(row.incremental_passes),
+                        std::to_string(row.cold_passes),
+                        row.identical ? "yes" : "NO"});
         }
-        table.AddRow({mhbc::EstimatorKindName(kind), std::to_string(batch),
-                      mhbc::FormatDouble(row.incremental_ms, 3),
-                      mhbc::FormatDouble(row.cold_ms, 3),
-                      mhbc::FormatDouble(speedup, 2) + "x",
-                      std::to_string(row.incremental_passes),
-                      std::to_string(row.cold_passes),
-                      row.identical ? "yes" : "NO"});
       }
+      mhbc::bench::EmitTable(
+          &report,
+          "E21: amortized re-estimate on " + made.value().name() +
+              (weighted ? " with uniform [1,3] weights" : "") + " (n=" +
+              std::to_string(graph.num_vertices()) + ", m=" +
+              std::to_string(graph.num_edges()) + ")",
+          table);
     }
-    mhbc::bench::EmitTable(
-        &report, "E21: amortized re-estimate on " + graph.name() + " (n=" +
-                     std::to_string(graph.num_vertices()) + ", m=" +
-                     std::to_string(graph.num_edges()) + ")",
-        table);
   }
 
   report.AddMeta("bit_identical", all_identical ? "true" : "false");
-  report.AddMeta("best_small_batch_speedup",
-                 mhbc::FormatDouble(best_small_batch_speedup, 2));
-  report.AddMeta("best_small_batch_pass_ratio",
-                 mhbc::FormatDouble(best_small_batch_pass_ratio, 2));
-  report.AddMeta("best_small_batch_dataset", best_small_batch_dataset);
+  for (const bool weighted : {false, true}) {
+    const SmallBatchBest& gate = best[weighted ? 1 : 0];
+    const std::string prefix = weighted ? "weighted_" : "";
+    report.AddMeta(prefix + "best_small_batch_speedup",
+                   mhbc::FormatDouble(gate.speedup, 2));
+    report.AddMeta(prefix + "best_small_batch_pass_ratio",
+                   mhbc::FormatDouble(gate.pass_ratio, 2));
+    report.AddMeta(prefix + "best_small_batch_dataset", gate.dataset);
+  }
   const std::string json = report.Write();
   if (!json.empty()) std::printf("\nwrote %s\n", json.c_str());
 
-  std::printf("\nbest small-batch (<=4 edits): %.2fx wall clock, %.2fx "
-              "fewer passes, on %s\n",
-              best_small_batch_speedup, best_small_batch_pass_ratio,
-              best_small_batch_dataset.c_str());
+  for (const bool weighted : {false, true}) {
+    const SmallBatchBest& gate = best[weighted ? 1 : 0];
+    std::printf("\nbest %ssmall-batch (<=4 edits): %.2fx wall clock, %.2fx "
+                "fewer passes, on %s\n",
+                weighted ? "weighted " : "", gate.speedup, gate.pass_ratio,
+                gate.dataset.c_str());
+  }
   if (!all_identical) {
     std::fprintf(stderr,
                  "FAIL: incremental and cold engines disagree on "
                  "statistical report fields\n");
     return 1;
   }
-  return best_small_batch_pass_ratio > 1.0 ? 0 : 2;
+  // Selective invalidation must keep passes alive on small batches,
+  // unweighted and weighted: a ratio <= 1 means it degraded to wholesale.
+  return best[0].pass_ratio > 1.0 && best[1].pass_ratio > 1.0 ? 0 : 2;
 }

@@ -25,7 +25,7 @@
 /// is constructed once per graph and serves EstimateRequest ->
 /// EstimateReport queries whose work amortizes across calls. Querying a
 /// second vertex on a live engine costs strictly fewer shortest-path
-/// passes than a second one-shot call, because dependency vectors computed
+/// passes than asking a fresh engine, because dependency vectors computed
 /// for the first query are served from the memo.
 ///
 /// Quickstart:
@@ -179,7 +179,7 @@ enum class BudgetKind {
 /// Normal quantile behind every report's ci_half_width (1.96 ~ 95%).
 inline constexpr double kConfidenceZ = 1.96;
 
-/// One estimation query. Generalizes EstimateOptions: the budget is a
+/// One estimation query: the estimator, its seed, and a budget that is a
 /// sample count, a wall-clock deadline, or a target standard error.
 struct EstimateRequest {
   /// Target vertex — used by EstimateBatch; Estimate/EstimateMany take the
@@ -200,7 +200,16 @@ struct EstimateRequest {
 };
 
 /// Outcome of one engine query: the plain estimate plus diagnostics.
-struct EstimateReport : BetweennessEstimate {
+struct EstimateReport {
+  /// Paper-normalized (Eq. 1) betweenness score in [0, 1].
+  double value = 0.0;
+  /// Shortest-path passes the call consumed (work unit; exact runs report
+  /// n passes; cache-served calls can report 0).
+  std::uint64_t sp_passes = 0;
+  /// Wall-clock seconds.
+  double seconds = 0.0;
+  /// Estimator that produced the value.
+  EstimatorKind kind = EstimatorKind::kExact;
   /// The queried vertex.
   VertexId vertex = kInvalidVertex;
   /// Samples / chain iterations backing `value` (0 for kExact and for

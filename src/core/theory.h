@@ -9,8 +9,9 @@
 /// The paper's theoretical quantities, computed exactly from a dependency
 /// profile (the vector delta_{v.}(r) over all sources v; see
 /// exact/brandes.h DependencyProfile). Backs experiments E4 (bound
-/// validation) and E5 (Theorem 2 mu scaling), and EXPERIMENTS.md's
-/// bias analysis.
+/// validation) and E5 (Theorem 2 mu scaling), and the chain-limit bias
+/// analysis (ChainLimitEstimate below; the `mh-rb` row of
+/// docs/estimators.md).
 
 namespace mhbc {
 

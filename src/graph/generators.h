@@ -13,7 +13,8 @@
 /// complete, trees, barbell) whose exact betweenness is known analytically,
 /// used as test oracles; (2) random families (Erdős–Rényi, Barabási–Albert,
 /// Watts–Strogatz, caveman) acting as SNAP-dataset stand-ins in the
-/// experiment suite — see DESIGN.md §4 for the substitution argument.
+/// experiment suite; datasets/registry.h names the SNAP graph each
+/// registry dataset stands in for.
 ///
 /// All random generators take an explicit seed and are deterministic for a
 /// fixed (parameters, seed) pair.

@@ -11,7 +11,7 @@
 ///
 /// Every randomized component in the library (samplers, generators,
 /// benchmarks) takes an explicit 64-bit seed and derives its stream from
-/// this Rng, so every experiment in EXPERIMENTS.md is reproducible
+/// this Rng, so every experiment harness (bench/) is reproducible
 /// bit-for-bit. The core generator is xoshiro256**, seeded via SplitMix64
 /// per the reference recommendation; both are tiny, fast, and ours (no
 /// dependence on unspecified std:: distribution implementations).

@@ -5,8 +5,8 @@
 
 /// \file
 /// Plain-text table rendering for the experiment harnesses. Every bench
-/// binary prints its table/figure series through this so EXPERIMENTS.md
-/// rows can be regenerated by copy-paste.
+/// binary prints its table/figure series through this, so a table's rows
+/// can be regenerated by re-running its binary.
 
 namespace mhbc {
 

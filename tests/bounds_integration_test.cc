@@ -42,7 +42,7 @@ TEST(BoundsIntegrationTest, Eq14BudgetAchievesEpsDeltaOnSeparator) {
 /// The same protocol on a *skewed* target must expose the estimator's bias:
 /// the chain converges to ChainLimitEstimate, so with a tight eps the
 /// failure rate against the true BC blows past delta. This is the
-/// reproduction's negative result (soundness analysis in EXPERIMENTS.md).
+/// reproduction's negative result (see ChainLimitEstimate, core/theory.h).
 TEST(BoundsIntegrationTest, SkewedTargetConvergesToChainLimitNotTruth) {
   const CsrGraph g = MakePath(10);
   const VertexId r = 2;

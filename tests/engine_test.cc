@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "centrality/api.h"
 #include "exact/brandes.h"
 #include "graph/generators.h"
 
@@ -33,6 +32,21 @@ TEST(EstimatorRegistryTest, LookupByKindAndNameAgree) {
   EXPECT_EQ(FindEstimator(std::string("nonsense")), nullptr);
 }
 
+TEST(EstimatorRegistryTest, EstimatorKindNamesRoundTrip) {
+  // Every kind — AllEstimatorKinds() is the canonical list, so a newly
+  // added estimator is covered (or fails here) automatically.
+  for (EstimatorKind kind : AllEstimatorKinds()) {
+    EstimatorKind parsed;
+    ASSERT_TRUE(ParseEstimatorKind(EstimatorKindName(kind), &parsed))
+        << EstimatorKindName(kind);
+    EXPECT_EQ(parsed, kind);
+  }
+  EstimatorKind parsed;
+  EXPECT_FALSE(ParseEstimatorKind("nonsense", &parsed));
+  EXPECT_FALSE(ParseEstimatorKind("", &parsed));
+  EXPECT_FALSE(ParseEstimatorKind("unknown", &parsed));
+}
+
 TEST(EstimatorRegistryTest, WeightedSupportMatchesValidation) {
   const CsrGraph wg = AssignUniformWeights(MakeCycle(8), 1.0, 2.0, 5);
   BetweennessEngine engine(wg);
@@ -47,29 +61,25 @@ TEST(EstimatorRegistryTest, WeightedSupportMatchesValidation) {
 
 // ------------------------------------------------- cache amortization
 
-TEST(EngineTest, SecondVertexCostsFewerPassesThanFreeFunctions) {
+TEST(EngineTest, SecondVertexCostsFewerPassesThanFreshEngines) {
   // The acceptance bar of the engine design: one engine serving two
-  // vertices beats two independent one-shot calls on total passes,
+  // vertices beats two fresh engines, one per vertex, on total passes,
   // because one pass from source v yields delta_v(.) for EVERY target.
   const CsrGraph g = MakeConnectedCaveman(6, 10);
   const VertexId v1 = 9, v2 = 19;
   for (EstimatorKind kind : {EstimatorKind::kDistanceProportional,
                              EstimatorKind::kMetropolisHastings}) {
-    EstimateOptions options;
-    options.kind = kind;
-    options.samples = 400;
-    options.seed = 7;
-    const auto free1 = EstimateBetweenness(g, v1, options);
-    const auto free2 = EstimateBetweenness(g, v2, options);
+    EstimateRequest request;
+    request.kind = kind;
+    request.samples = 400;
+    request.seed = 7;
+    const auto free1 = BetweennessEngine(g).Estimate(v1, request);
+    const auto free2 = BetweennessEngine(g).Estimate(v2, request);
     ASSERT_TRUE(free1.ok() && free2.ok());
     const std::uint64_t free_total =
         free1.value().sp_passes + free2.value().sp_passes;
 
     BetweennessEngine engine(g);
-    EstimateRequest request;
-    request.kind = kind;
-    request.samples = 400;
-    request.seed = 7;
     const auto session1 = engine.Estimate(v1, request);
     const auto session2 = engine.Estimate(v2, request);
     ASSERT_TRUE(session1.ok() && session2.ok());
@@ -80,8 +90,8 @@ TEST(EngineTest, SecondVertexCostsFewerPassesThanFreeFunctions) {
     EXPECT_LT(session2.value().sp_passes, session1.value().sp_passes)
         << EstimatorKindName(kind);
     EXPECT_TRUE(session2.value().cache_hit) << EstimatorKindName(kind);
-    // Caching changes work, never values: each engine query matches its
-    // one-shot twin exactly.
+    // Caching changes work, never values: each query matches its
+    // fresh-engine twin exactly.
     EXPECT_DOUBLE_EQ(session1.value().value, free1.value().value);
     EXPECT_DOUBLE_EQ(session2.value().value, free2.value().value);
   }
@@ -184,6 +194,18 @@ TEST(EngineTest, JointResultCacheServesScoresAndRanking) {
   EXPECT_EQ(ranking.value(),
             RankOrderFromScores(joint.value().copeland_scores));
   EXPECT_EQ(ranking.value().front(), 1u);  // the bridge out-ranks gateways
+}
+
+TEST(EngineTest, RankOrderFromScoresBreaksTiesByInputOrder) {
+  // The documented stable_sort contract: equal scores keep input order.
+  const std::vector<double> scores{2.0, 5.0, 2.0, 7.0, 2.0};
+  const std::vector<std::size_t> order = RankOrderFromScores(scores);
+  const std::vector<std::size_t> expected{3, 1, 0, 2, 4};
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(RankOrderFromScores({}).empty());
+  const std::vector<std::size_t> all_tied = RankOrderFromScores({1.0, 1.0, 1.0});
+  const std::vector<std::size_t> identity{0, 1, 2};
+  EXPECT_EQ(all_tied, identity);
 }
 
 // -------------------------------------------------------- determinism
@@ -349,11 +371,13 @@ TEST(EngineTest, BatchServesHeterogeneousRequestsAndFailsFast) {
 
 // -------------------------------------------------------- validation
 
-TEST(EngineTest, ValidationMirrorsFreeApi) {
+TEST(EngineTest, ValidationRejectsMalformedRequests) {
   const CsrGraph g = MakeCycle(6);
   BetweennessEngine engine(g);
   EstimateRequest request;
-  EXPECT_FALSE(engine.Estimate(6, request).ok());  // out of range
+  const auto out_of_range = engine.Estimate(6, request);
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
   request.samples = 0;
   EXPECT_FALSE(engine.Estimate(0, request).ok());  // empty budget
   request.samples = 10;
@@ -364,6 +388,16 @@ TEST(EngineTest, ValidationMirrorsFreeApi) {
   const CsrGraph trivial = MakePath(1);
   BetweennessEngine tiny(trivial);
   EXPECT_FALSE(tiny.Estimate(0, EstimateRequest()).ok());
+}
+
+TEST(EngineTest, RelativeBetweennessValidation) {
+  const CsrGraph g = MakeCycle(8);
+  BetweennessEngine engine(g);
+  EXPECT_FALSE(engine.EstimateRelative({0}, 100).ok());     // one target
+  EXPECT_FALSE(engine.EstimateRelative({0, 9}, 100).ok());  // out of range
+  EXPECT_FALSE(engine.EstimateRelative({0, 0}, 100).ok());  // duplicate
+  EXPECT_FALSE(engine.EstimateRelative({0, 4}, 0).ok());    // empty budget
+  EXPECT_TRUE(engine.EstimateRelative({0, 4}, 100).ok());
 }
 
 TEST(EngineTest, TopKReusesDiameterAndCreditAcrossCalls) {

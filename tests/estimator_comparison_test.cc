@@ -3,7 +3,7 @@
 #include <cmath>
 #include <tuple>
 
-#include "centrality/api.h"
+#include "centrality/engine.h"
 #include "core/theory.h"
 #include "exact/brandes.h"
 #include "graph/generators.h"
@@ -55,11 +55,11 @@ TEST_P(EstimatorComparisonTest, AllEstimatorsAgreeAtLargeBudget) {
        {EstimatorKind::kMetropolisHastings, EstimatorKind::kUniformSource,
         EstimatorKind::kDistanceProportional, EstimatorKind::kShortestPath,
         EstimatorKind::kLinearScaling}) {
-    EstimateOptions options;
-    options.kind = kind;
-    options.samples = 12'000;
-    options.seed = seed;
-    const auto result = EstimateBetweenness(c.graph, c.target, options);
+    EstimateRequest request;
+    request.kind = kind;
+    request.samples = 12'000;
+    request.seed = seed;
+    const auto result = BetweennessEngine(c.graph).Estimate(c.target, request);
     ASSERT_TRUE(result.ok()) << EstimatorKindName(kind);
     const double reference =
         kind == EstimatorKind::kMetropolisHastings ? mh_reference : exact;

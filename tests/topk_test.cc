@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "centrality/api.h"
+#include "centrality/engine.h"
 #include "exact/brandes.h"
 #include "graph/generators.h"
 
@@ -11,7 +11,7 @@ namespace {
 
 TEST(TopKTest, FindsBridgeAndGateways) {
   const CsrGraph g = MakeBarbell(6, 1);
-  const auto result = EstimateTopKBetweenness(g, 3, 0.03, 0.1, 9);
+  const auto result = BetweennessEngine(g).TopK(3, 0.03, 0.1, 9);
   ASSERT_TRUE(result.ok());
   const auto& top = result.value();
   ASSERT_EQ(top.size(), 3u);
@@ -27,7 +27,7 @@ TEST(TopKTest, FindsBridgeAndGateways) {
 TEST(TopKTest, EstimatesCloseToExactScores) {
   const CsrGraph g = MakeConnectedCaveman(5, 8);
   const double eps = 0.03;
-  const auto result = EstimateTopKBetweenness(g, 5, eps, 0.1, 11);
+  const auto result = BetweennessEngine(g).TopK(5, eps, 0.1, 11);
   ASSERT_TRUE(result.ok());
   const auto exact = ExactBetweenness(g);
   for (const TopKEntry& entry : result.value()) {
@@ -37,23 +37,25 @@ TEST(TopKTest, EstimatesCloseToExactScores) {
 
 TEST(TopKTest, KEqualsNReturnsEveryVertex) {
   const CsrGraph g = MakeCycle(8);
-  const auto result = EstimateTopKBetweenness(g, 8, 0.1, 0.2, 13);
+  const auto result = BetweennessEngine(g).TopK(8, 0.1, 0.2, 13);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().size(), 8u);
 }
 
 TEST(TopKTest, ValidatesArguments) {
   const CsrGraph g = MakeCycle(8);
-  EXPECT_FALSE(EstimateTopKBetweenness(g, 0).ok());
-  EXPECT_FALSE(EstimateTopKBetweenness(g, 9).ok());
-  EXPECT_FALSE(EstimateTopKBetweenness(g, 2, /*eps=*/0.0).ok());
-  EXPECT_FALSE(EstimateTopKBetweenness(g, 2, 0.1, /*delta=*/1.5).ok());
-  EXPECT_FALSE(EstimateTopKBetweenness(MakePath(1), 1).ok());
+  BetweennessEngine engine(g);
+  EXPECT_FALSE(engine.TopK(0).ok());
+  EXPECT_FALSE(engine.TopK(9).ok());
+  EXPECT_FALSE(engine.TopK(2, /*eps=*/0.0).ok());
+  EXPECT_FALSE(engine.TopK(2, 0.1, /*delta=*/1.5).ok());
+  const CsrGraph trivial = MakePath(1);
+  EXPECT_FALSE(BetweennessEngine(trivial).TopK(1).ok());
 }
 
 TEST(TopKTest, WeightedGraphSupported) {
   const CsrGraph wg = AssignUniformWeights(MakeBarbell(5, 1), 1.0, 1.0, 17);
-  const auto result = EstimateTopKBetweenness(wg, 1, 0.05, 0.1, 19);
+  const auto result = BetweennessEngine(wg).TopK(1, 0.05, 0.1, 19);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value()[0].vertex, 5u);  // the bridge
 }
