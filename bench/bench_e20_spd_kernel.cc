@@ -1,9 +1,12 @@
 // E20 — the SPD kernel matrix: every pass engine at every intra-pass
 // thread count. Classic top-down and direction-optimizing hybrid BFS
 // passes (sp/bfs_spd.h) run on the registry graphs plus a directed
-// stand-in; delta-stepping passes (sp/delta_spd.h) run on copies of the
-// same graphs with uniform [1,3] edge weights. Each kernel runs at 1, 2,
-// 4 and 8 threads (SpdOptions::num_threads).
+// stand-in; delta-stepping passes (sp/delta_spd.h) run on two weighted
+// copies of the same graphs: `delta` on uniform [1,3] edge weights, where
+// ties are all but absent, and `delta-int` on weights drawn from {1, 2,
+// 3}, where exact ties give many vertices several shortest-path parents
+// for the det gate to compare. Each kernel runs at 1, 2, 4 and 8 threads
+// (SpdOptions::num_threads).
 //
 // Per (graph, kernel, threads) row the harness reports
 //
@@ -59,9 +62,11 @@
 #include "bench_common.h"
 #include "datasets/registry.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "sp/bfs_spd.h"
 #include "sp/delta_spd.h"
 #include "sp/dependency.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace {
@@ -214,13 +219,29 @@ bool ParseCount(const char* text, std::uint64_t* value) {
   return text[0] != '-' && end != text && *end == '\0' && errno != ERANGE;
 }
 
-enum class Kernel { kClassic, kHybrid, kDelta };
+/// `graph` with each edge's weight drawn uniformly from {1, 2, 3}
+/// (directedness carries over).
+CsrGraph AssignIntegerWeights(const CsrGraph& graph, std::uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder builder(graph.num_vertices());
+  builder.set_directed(graph.directed());
+  for (const CsrGraph::Edge& e : graph.CollectEdges()) {
+    builder.AddWeightedEdge(e.u, e.v,
+                            static_cast<double>(1 + rng.NextBounded(3)));
+  }
+  StatusOr<CsrGraph> built = builder.Build();
+  MHBC_DCHECK(built.ok());
+  return std::move(built).value();
+}
+
+enum class Kernel { kClassic, kHybrid, kDelta, kDeltaInt };
 
 const char* KernelName(Kernel kernel) {
   switch (kernel) {
     case Kernel::kClassic: return "classic";
     case Kernel::kHybrid: return "hybrid";
     case Kernel::kDelta: return "delta";
+    case Kernel::kDeltaInt: return "delta-int";
   }
   return "?";
 }
@@ -281,12 +302,14 @@ int main(int argc, char** argv) {
 
   for (const auto& [name, graph] : cases) {
     const CsrGraph weighted = AssignUniformWeights(graph, 1.0, 3.0, 0xE24);
+    const CsrGraph integer_weighted = AssignIntegerWeights(graph, 0xE201);
     const std::vector<VertexId> sources =
         SpreadSources(graph.num_vertices(), sources_per_graph);
     const double passes = static_cast<double>(sources.size());
     double classic_fused_seconds[std::size(kThreadCounts)] = {};
 
-    for (Kernel kernel : {Kernel::kClassic, Kernel::kHybrid, Kernel::kDelta}) {
+    for (Kernel kernel : {Kernel::kClassic, Kernel::kHybrid, Kernel::kDelta,
+                          Kernel::kDeltaInt}) {
       SpdOptions sequential = defaults;
       sequential.kernel =
           kernel == Kernel::kClassic ? SpdKernel::kClassic : SpdKernel::kHybrid;
@@ -298,10 +321,12 @@ int main(int argc, char** argv) {
         options.num_threads = kThreadCounts[t];
         KernelRun run;
         bool det = true;
-        if (kernel == Kernel::kDelta) {
-          run = TimeKernel<DeltaSpd>(weighted, options, sources);
+        if (kernel == Kernel::kDelta || kernel == Kernel::kDeltaInt) {
+          const CsrGraph& copy =
+              kernel == Kernel::kDelta ? weighted : integer_weighted;
+          run = TimeKernel<DeltaSpd>(copy, options, sources);
           if (t > 0) {
-            det = Agree<DeltaSpd>(weighted, sequential, options, sources);
+            det = Agree<DeltaSpd>(copy, sequential, options, sources);
           }
         } else {
           run = TimeKernel<BfsSpd>(graph, options, sources);
@@ -329,7 +354,8 @@ int main(int argc, char** argv) {
               FormatDouble(classic_fused_seconds[t] / run.fused_seconds, 2) +
               "x";
         }
-        const bool bfs = kernel != Kernel::kDelta;
+        const bool bfs =
+            kernel == Kernel::kClassic || kernel == Kernel::kHybrid;
         table.AddRow(
             {name, FormatCount(graph.num_vertices()),
              FormatCount(graph.num_edges()), KernelName(kernel),
@@ -353,8 +379,8 @@ int main(int argc, char** argv) {
       &json,
       "E20: SPD kernel matrix (passes/sec; speedups vs the 1-thread row of "
       "the same kernel; fused vs classic at equal threads; delta rows on "
-      "[1,3]-weighted copies; !DET flags a bit-identity violation — must "
-      "never appear)",
+      "[1,3]-weighted copies, delta-int rows on {1,2,3}-weighted copies; "
+      "!DET flags a bit-identity violation — must never appear)",
       table);
   const std::string written = json.Write();
   if (!written.empty()) std::printf("wrote %s\n", written.c_str());

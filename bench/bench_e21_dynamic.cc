@@ -5,7 +5,7 @@
 // provably does not touch (DependencyMemo::Carry) while whole-graph
 // products rebuild. This harness quantifies the payoff on registry graphs,
 // unweighted and with uniform [1,3] edge weights (the weighted survival
-// test runs on minimum incident weights): for each edit batch size it
+// test also reads minimum incident weights): for each edit batch size it
 // generates random edit scripts (MakeRandomEditScript — the same
 // distribution the equivalence test harness locks down), then measures
 // per round
@@ -13,6 +13,11 @@
 //   incremental — ApplyDelta on the live engine + re-estimate, vs
 //   cold       — rebuild the post-edit graph from its edge list through
 //                GraphBuilder, construct a fresh engine, estimate.
+//
+// The `carry passes` column counts the reverse passes (BFS unweighted,
+// Dijkstra weighted) the memo's survival test ran per round, inside the
+// incremental time; they are not in `incr passes`, which counts the
+// forward passes the estimates ran.
 //
 // Both paths must agree bit-for-bit on every statistical report field
 // (the mutation determinism contract, centrality/engine.h); the `ident`
@@ -80,6 +85,7 @@ struct RowResult {
   double cold_ms = 0.0;
   std::uint64_t incremental_passes = 0;
   std::uint64_t cold_passes = 0;
+  double carry_passes = 0.0;
   bool identical = true;
 };
 
@@ -110,11 +116,14 @@ RowResult RunRows(const CsrGraph& start, mhbc::EstimatorKind kind,
         engine.graph(), batch, seed_base + 977 * round);
 
     const std::uint64_t passes_before = engine.total_sp_passes();
+    const std::uint64_t carry_before = engine.memo_stats().carry_passes;
     mhbc::WallTimer incremental_timer;
     MHBC_DCHECK(engine.ApplyDelta(delta).ok());
     const auto incremental = engine.EstimateMany(targets, request);
     result.incremental_ms += incremental_timer.ElapsedSeconds() * 1e3;
     result.incremental_passes += engine.total_sp_passes() - passes_before;
+    result.carry_passes += static_cast<double>(
+        engine.memo_stats().carry_passes - carry_before);
 
     mhbc::WallTimer cold_timer;
     const CsrGraph scratch = RebuildFromEdges(engine.graph());
@@ -134,6 +143,7 @@ RowResult RunRows(const CsrGraph& start, mhbc::EstimatorKind kind,
   result.cold_ms /= rounds;
   result.incremental_passes /= static_cast<std::uint64_t>(rounds);
   result.cold_passes /= static_cast<std::uint64_t>(rounds);
+  result.carry_passes /= rounds;
   return result;
 }
 
@@ -188,7 +198,7 @@ int main(int argc, char** argv) {
       SmallBatchBest& gate = best[weighted ? 1 : 0];
       mhbc::Table table({"estimator", "edit batch", "incr ms/round",
                          "cold ms/round", "speedup", "incr passes",
-                         "cold passes", "ident"});
+                         "cold passes", "carry passes", "ident"});
       std::uint64_t seed = 0xE21'0000;
       for (const mhbc::EstimatorKind kind : kinds) {
         for (const std::size_t batch : batches) {
@@ -216,6 +226,7 @@ int main(int argc, char** argv) {
                         mhbc::FormatDouble(speedup, 2) + "x",
                         std::to_string(row.incremental_passes),
                         std::to_string(row.cold_passes),
+                        mhbc::FormatDouble(row.carry_passes, 1),
                         row.identical ? "yes" : "NO"});
         }
       }

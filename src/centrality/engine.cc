@@ -283,6 +283,12 @@ std::uint64_t BetweennessEngine::dependency_cache_hits() const {
   return hits;
 }
 
+DependencyMemoStats BetweennessEngine::memo_stats() const {
+  const std::shared_ptr<DependencyMemo>& memo =
+      oracle_ ? oracle_->memo() : memo_;
+  return memo ? memo->Stats() : DependencyMemoStats{};
+}
+
 // ------------------------------------------------------------ validation
 
 Status BetweennessEngine::ValidateRequest(

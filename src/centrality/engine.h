@@ -242,10 +242,9 @@ struct EngineOptions {
   /// Memory budget (bytes) for the engine's dependency-vector memo, which
   /// every estimator of the engine shares; the entry capacity is
   /// DependencyMemo::CapacityFor(budget, graph) — budget over
-  /// DependencyMemo::EntryBytes (n doubles, plus n double weighted
-  /// distances on a weighted graph, kept for edit invalidation), capped at
-  /// n entries — so the footprint stays bounded
-  /// on any graph size. The engine's shards share its memo. An engine
+  /// DependencyMemo::EntryBytes (n doubles on either graph kind), capped
+  /// at n entries — so the footprint stays bounded on any graph size. The
+  /// engine's shards share its memo. An engine
   /// constructed on a shared memo sizes that memo by the same rule; the
   /// engines sharing one have the same options and graph, so they agree,
   /// and the budget is per memo: per graph, not per session, in the
@@ -405,6 +404,12 @@ class BetweennessEngine {
 
   /// Dependencies served from the shared memo instead of a pass.
   std::uint64_t dependency_cache_hits() const;
+
+  /// Counters of the dependency memo the engine reads and fills. ApplyDelta
+  /// carries them into the next epoch's memo, so carry_passes and
+  /// invalidated add up over the engine's edits (all zero before the
+  /// engine has a memo).
+  DependencyMemoStats memo_stats() const;
 
  private:
   struct RkCredit;     // cached all-vertices RK credit vector

@@ -64,12 +64,11 @@ const std::vector<double>& DependencyOracle::Dependencies(VertexId source) {
     returned_ = std::move(hit);
     return returned_->deps;
   }
-  const ShortestPathDag& dag = Pass(source);
+  Pass(source);
   const std::vector<double>& deps = delta_ ? accumulator_.Accumulate(*delta_)
                                            : accumulator_.Accumulate(*bfs_);
   if (memo_->capacity() == 0) return deps;
-  // A weighted pass keeps its distances for the edit-survival test.
-  returned_ = memo_->Insert(source, deps, dag, graph_->weighted());
+  returned_ = memo_->Insert(source, deps);
   return returned_->deps;
 }
 

@@ -88,13 +88,11 @@ class DependencyOracle {
   double EstimatorTerm(VertexId v, VertexId r);
 
   /// Sets the memo's capacity to `max_entries` dependency vectors (memory:
-  /// DependencyMemo::EntryBytes each; the memo is bulk-evicted when full).
-  /// An unweighted entry is its dependency vector alone: its edit survival
-  /// is decided on the post-edit graph. A weighted entry also keeps the
-  /// pass' distances (+100%), because the passes memoized *before* the
-  /// first edit are exactly the warm state ApplyGraphDelta exists to
-  /// preserve. 0 (the default of a private memo) disables caching and frees
-  /// the store. On a shared memo this sizes it for every oracle on it.
+  /// DependencyMemo::EntryBytes each, n doubles on either graph kind; the
+  /// memo is bulk-evicted when full). An entry keeps no distances: its edit
+  /// survival is decided on the post-edit graph. 0 (the default of a
+  /// private memo) disables caching and frees the store. On a shared memo
+  /// this sizes it for every oracle on it.
   void set_cache_capacity(std::size_t max_entries);
 
   /// Rebinds the oracle to `new_graph` — the graph produced by applying
@@ -104,11 +102,11 @@ class DependencyOracle {
   /// carries across the edits (DependencyMemo::Carry), so the memoized
   /// passes the edits provably do not touch survive, and the SPD engines
   /// and accumulator are rebuilt against the new graph. Only `new_graph`
-  /// is read: the unweighted survival test runs its reverse passes there,
-  /// and the weighted one takes the pre-edit minimum incident weights from
-  /// the pre-edit pass engine. The pre-edit graph may therefore be the same
-  /// object edited in place. `new_graph` must outlive the oracle like the
-  /// construction graph did.
+  /// is read: the survival test runs its reverse passes there (BFS
+  /// unweighted, Dijkstra weighted), and the weighted one takes the
+  /// pre-edit minimum incident weights from the pre-edit pass engine. The
+  /// pre-edit graph may therefore be the same object edited in place.
+  /// `new_graph` must outlive the oracle like the construction graph did.
   void ApplyGraphDelta(const CsrGraph& new_graph,
                        std::span<const GraphEdit> edits);
 

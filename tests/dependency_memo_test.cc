@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "centrality/engine.h"
@@ -21,6 +23,7 @@
 #include "exact/dependency_oracle.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "serve/catalog.h"
 #include "sp/bfs_spd.h"
 #include "sp/delta_spd.h"
@@ -318,8 +321,71 @@ bool PreEditHopRuleKeeps(const std::vector<std::uint32_t>& dist,
   return true;
 }
 
+/// The edit-survival rule the memo applied while weighted entries kept
+/// their pre-edit distances `wdist` (-1 unreached; appended vertices read
+/// as unreached): per edge edit {u,v,w}, both endpoints unreached survives,
+/// one reached drops, and both reached survives iff the edge is slack both
+/// ways by more than the canonical tie window `eps` and w leaves both
+/// endpoints' pre-edit minw (`min_weight`) unchanged. The directed arc u→v
+/// survives when u is unreached, or when v is reached, the arc is slack one
+/// way and w leaves minw(v) unchanged.
+bool PreEditWeightedRuleKeeps(const std::vector<double>& wdist,
+                              std::span<const GraphEdit> edits,
+                              const DependencyMemo::MinWeightFn& min_weight,
+                              double eps, bool directed) {
+  const auto wdist_of = [&wdist](VertexId v) {
+    return v < wdist.size() ? wdist[v] : -1.0;
+  };
+  const auto minw_of = [&](VertexId v) {
+    return v < wdist.size() ? min_weight(v)
+                            : std::numeric_limits<double>::infinity();
+  };
+  for (const GraphEdit& edit : edits) {
+    if (edit.kind == GraphEdit::Kind::kAddVertex) continue;
+    const double du = wdist_of(edit.u);
+    const double dv = wdist_of(edit.v);
+    const double w = edit.weight;
+    const auto slack = [w, eps](double from, double to) {
+      return from + w > to && from + w - to > eps * (from + w);
+    };
+    const auto leaves_minw = [&edit, w](double minw) {
+      return edit.kind == GraphEdit::Kind::kAddEdge ? w >= minw : w > minw;
+    };
+    if (directed) {
+      if (du < 0.0) continue;
+      if (dv < 0.0 || !slack(du, dv) || !leaves_minw(minw_of(edit.v))) {
+        return false;
+      }
+      continue;
+    }
+    if (du < 0.0 && dv < 0.0) continue;
+    if (du < 0.0 || dv < 0.0 || !slack(du, dv) || !slack(dv, du) ||
+        !leaves_minw(minw_of(edit.u)) || !leaves_minw(minw_of(edit.v))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The pre-edit rule for the pass from `source` on `graph`, run on a fresh
+/// pass' stored distances (hops unweighted, DeltaSpd wdist weighted).
+bool PreEditRuleKeeps(const CsrGraph& graph, VertexId source,
+                      std::span<const GraphEdit> edits) {
+  if (graph.weighted()) {
+    DeltaSpd delta(graph);
+    delta.Run(source);
+    return PreEditWeightedRuleKeeps(delta.dag().wdist, edits,
+                                    DependencyMemo::MinWeightsOf(graph),
+                                    SpdOptions().tie_epsilon,
+                                    graph.directed());
+  }
+  BfsSpd bfs(graph);
+  bfs.Run(source);
+  return PreEditHopRuleKeeps(bfs.dag().dist, edits, graph.directed());
+}
+
 /// A memo holding every source of `graph`, carried across `delta`, keeps
-/// exactly the sources the pre-edit hop rule keeps (a full memo never meets
+/// exactly the sources the pre-edit rule keeps (a full memo never meets
 /// the work bound here: 2n reverse passes cover any batch of n edits), and
 /// every survivor equals a fresh pass on the post-edit graph. Returns the
 /// survivor count.
@@ -333,16 +399,12 @@ std::size_t CheckCarryMatchesPreEditRule(const CsrGraph& graph,
   auto memo = std::make_shared<DependencyMemo>(n);
   DependencyOracle oracle(graph, SpdOptions(), memo);
   std::vector<VertexId> want;
-  BfsSpd bfs(graph);
   for (VertexId s = 0; s < n; ++s) {
     (void)oracle.Dependencies(s);
-    bfs.Run(s);
-    if (PreEditHopRuleKeeps(bfs.dag().dist, resolved, graph.directed())) {
-      want.push_back(s);
-    }
+    if (PreEditRuleKeeps(graph, s, resolved)) want.push_back(s);
   }
   const auto carried = memo->Carry(next, resolved, SpdOptions().tie_epsilon,
-                                   DependencyMemo::MinWeightFn());
+                                   DependencyMemo::MinWeightsOf(graph));
   std::vector<VertexId> got;
   for (VertexId s = 0; s < n; ++s) {
     const DependencyMemo::EntryPtr entry = carried->Find(s);
@@ -357,11 +419,38 @@ std::size_t CheckCarryMatchesPreEditRule(const CsrGraph& graph,
   return got.size();
 }
 
+/// A grid whose edge weights are 1, 2 or 3 by a hash of the endpoints:
+/// exact ties, so many vertices have several shortest-path parents.
+CsrGraph IntegerWeightGrid(VertexId rows, VertexId cols) {
+  const CsrGraph grid = MakeGrid(rows, cols);
+  GraphBuilder builder(grid.num_vertices());
+  for (const CsrGraph::Edge& e : grid.CollectEdges()) {
+    const std::uint64_t hash = (std::uint64_t{e.u} * 0x9E3779B1ULL) ^
+                               (std::uint64_t{e.v} * 0x85EBCA6BULL);
+    builder.AddWeightedEdge(e.u, e.v,
+                            static_cast<double>(1 + (hash >> 7) % 3));
+  }
+  return std::move(builder.Build()).value();
+}
+
 TEST(DependencyMemoTest, CarriedSurvivorsMatchThePreEditHopRule) {
   const std::vector<std::pair<const char*, CsrGraph>> graphs = {
       {"ba-150", MakeBarabasiAlbert(150, 3, 0x5eed)},
       {"directed-150", MakeRandomDirected(150, 300, 0xd1)},
-      {"grid-10x10", MakeGrid(10, 10)}};
+      {"grid-10x10", MakeGrid(10, 10)},
+      {"grid-10x10-w[1,2)",
+       AssignUniformWeights(MakeGrid(10, 10), 1.0, 2.0, 0x9e1d)},
+      {"integer-grid-10x10", IntegerWeightGrid(10, 10)},
+      {"ba-150-w[1,3]",
+       AssignUniformWeights(MakeBarabasiAlbert(150, 3, 0x5eed), 1.0, 3.0,
+                            0xba3)},
+      {"directed-150-w[1,3]",
+       AssignUniformWeights(MakeRandomDirected(150, 300, 0xd1), 1.0, 3.0,
+                            0xd1e)},
+      // A tree: every removal cuts the reached set, one endpoint per side.
+      {"ba-tree-150-w[1,3]",
+       AssignUniformWeights(MakeBarabasiAlbert(150, 1, 0x7ee), 1.0, 3.0,
+                            0x7e3)}};
   for (const auto& [name, graph] : graphs) {
     SCOPED_TRACE(name);
     std::size_t survivors = 0;
@@ -384,46 +473,130 @@ TEST(DependencyMemoTest, CarriedSurvivorsMatchThePreEditHopRule) {
 
 // The work bound: a carry runs at most two reverse passes per entry it
 // starts with. On the 5×5 grid the chords 0–6 and 0–2 both join vertices at
-// one hop from source 1, so its pass survives either edit, and the pair.
+// one hop from source 1, so its pass survives either edit, and the pair;
+// the first chord drops the pass from `dropped`. On the [1,2)-weighted grid
+// the chords weigh 2, no less than any edge, so they leave every minw as it
+// was, and they are slack both ways from source 1, whose distances to 0, 2
+// and 6 are single edges under 2; from source 0 the chord to 6 is itself a
+// shortest path (two grid edges weigh at least 2), so that pass drops.
 TEST(DependencyMemoTest, CarryDropsWhatItsPassBoundLeavesUntested) {
-  const CsrGraph start = MakeGrid(5, 5);
-  GraphDelta one;
-  one.AddEdge(0, 6);
-  GraphDelta two = one;
-  two.AddEdge(0, 2);
-  const auto carry = [&start](const GraphDelta& delta,
-                              const std::vector<VertexId>& warmed) {
-    DynamicGraph dynamic(start);
-    std::vector<GraphEdit> resolved;
-    EXPECT_TRUE(dynamic.Apply(delta, &resolved).ok());
-    auto memo = std::make_shared<DependencyMemo>(warmed.size());
-    DependencyOracle oracle(start, SpdOptions(), memo);
-    for (const VertexId s : warmed) (void)oracle.Dependencies(s);
-    BfsSpd bfs(start);
-    bfs.Run(1);
-    EXPECT_TRUE(PreEditHopRuleKeeps(bfs.dag().dist, resolved, false));
-    const auto carried = memo->Carry(dynamic.Csr(), resolved,
-                                     SpdOptions().tie_epsilon,
-                                     DependencyMemo::MinWeightFn());
-    return carried->Stats();
+  struct Case {
+    const char* name;
+    CsrGraph start;
+    double chord_weight;
+    VertexId dropped;
   };
-  // One entry, one edit: two reverse passes, the whole budget; it stays.
-  DependencyMemoStats stats = carry(one, {1});
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.carry_passes, 2u);
-  EXPECT_EQ(stats.invalidated, 0u);
-  // One entry, two edits: the second edit would need a third reverse pass,
-  // so the entry is dropped untested.
-  stats = carry(two, {1});
+  const Case cases[] = {
+      {"grid-5x5", MakeGrid(5, 5), 1.0, 24},
+      {"grid-5x5-w[1,2)",
+       AssignUniformWeights(MakeGrid(5, 5), 1.0, 2.0, 0x9e1d), 2.0, 0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    GraphDelta one;
+    one.AddEdge(0, 6, c.chord_weight);
+    GraphDelta two = one;
+    two.AddEdge(0, 2, c.chord_weight);
+    const auto carry = [&c](const GraphDelta& delta,
+                            const std::vector<VertexId>& warmed) {
+      DynamicGraph dynamic(c.start);
+      std::vector<GraphEdit> resolved;
+      EXPECT_TRUE(dynamic.Apply(delta, &resolved).ok());
+      auto memo = std::make_shared<DependencyMemo>(warmed.size());
+      DependencyOracle oracle(c.start, SpdOptions(), memo);
+      for (const VertexId s : warmed) (void)oracle.Dependencies(s);
+      EXPECT_TRUE(PreEditRuleKeeps(c.start, 1, resolved));
+      const auto carried = memo->Carry(dynamic.Csr(), resolved,
+                                       SpdOptions().tie_epsilon,
+                                       DependencyMemo::MinWeightsOf(c.start));
+      return carried->Stats();
+    };
+    // One entry, one edit: two reverse passes, the whole budget; it stays.
+    DependencyMemoStats stats = carry(one, {1});
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.carry_passes, 2u);
+    EXPECT_EQ(stats.invalidated, 0u);
+    // One entry, two edits: the second edit would need a third reverse
+    // pass, so the entry is dropped untested.
+    stats = carry(two, {1});
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.carry_passes, 2u);
+    EXPECT_EQ(stats.invalidated, 1u);
+    // With the dropped source beside it, the budget is four passes: both
+    // edits are tested and source 1 stays.
+    stats = carry(two, {1, c.dropped});
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.carry_passes, 4u);
+    EXPECT_EQ(stats.invalidated, 1u);
+  }
+}
+
+// The shape of pass_digest_test's near-tie graph: source 0 reaches relays 1
+// and 2 (distances 10 and 20), relay 1 reaches target 3 over a path of
+// 1000, and target 3 feeds a sink 4. An inserted edge from relay 2 makes a
+// second path to the target 3 tie_epsilon longer: slack by more than the
+// canonical tie window, so the test on stored distances kept the pass, but
+// inside the window the post-edit test widens it to, where a reverse
+// Dijkstra and the forward pass may round apart. The pass is dropped.
+TEST(DependencyMemoTest, CarryDropsAPassWithinTheWidenedTieWindow) {
+  constexpr double kLength = 1000.0;
+  const double eps = SpdOptions().tie_epsilon;
+  GraphBuilder builder(5);
+  builder.AddWeightedEdge(0, 1, 10.0);
+  builder.AddWeightedEdge(0, 2, 20.0);
+  builder.AddWeightedEdge(1, 3, kLength - 10.0);
+  builder.AddWeightedEdge(3, 4, 1.0);
+  const CsrGraph start = std::move(builder.Build()).value();
+  GraphDelta delta;
+  delta.AddEdge(2, 3, (kLength - 20.0) + 3.0 * eps * kLength);
+  DynamicGraph dynamic(start);
+  std::vector<GraphEdit> resolved;
+  ASSERT_TRUE(dynamic.Apply(delta, &resolved).ok());
+  ASSERT_TRUE(PreEditRuleKeeps(start, 0, resolved));
+
+  auto memo = std::make_shared<DependencyMemo>(start.num_vertices());
+  DependencyOracle oracle(start, SpdOptions(), memo);
+  for (VertexId s = 0; s < start.num_vertices(); ++s) {
+    (void)oracle.Dependencies(s);
+  }
+  const auto carried = memo->Carry(dynamic.Csr(), resolved, eps,
+                                   DependencyMemo::MinWeightsOf(start));
+  EXPECT_EQ(carried->Find(0), nullptr);
+  for (VertexId s = 0; s < start.num_vertices(); ++s) {
+    if (const DependencyMemo::EntryPtr entry = carried->Find(s)) {
+      EXPECT_EQ(entry->deps, FreshDependencies(dynamic.Csr(), s)) << s;
+    }
+  }
+}
+
+// A weighted graph edited down to no edges reads weighted() false. Entries
+// do not record their pass kind, so the carry drops every one, the
+// isolated vertex' too, without a reverse pass.
+TEST(DependencyMemoTest, CarryOntoAnEdgelessGraphDropsEveryEntry) {
+  GraphBuilder builder(4);
+  builder.AddWeightedEdge(0, 1, 1.5);
+  builder.AddWeightedEdge(1, 2, 2.5);
+  const CsrGraph start = std::move(builder.Build()).value();
+  ASSERT_TRUE(start.weighted());
+  GraphDelta delta;
+  delta.RemoveEdge(0, 1);
+  delta.RemoveEdge(1, 2);
+  DynamicGraph dynamic(start);
+  std::vector<GraphEdit> resolved;
+  ASSERT_TRUE(dynamic.Apply(delta, &resolved).ok());
+  ASSERT_FALSE(dynamic.Csr().weighted());
+
+  auto memo = std::make_shared<DependencyMemo>(start.num_vertices());
+  DependencyOracle oracle(start, SpdOptions(), memo);
+  for (VertexId s = 0; s < start.num_vertices(); ++s) {
+    (void)oracle.Dependencies(s);
+  }
+  const DependencyMemoStats stats =
+      memo->Carry(dynamic.Csr(), resolved, SpdOptions().tie_epsilon,
+                  DependencyMemo::MinWeightsOf(start))
+          ->Stats();
   EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.carry_passes, 2u);
-  EXPECT_EQ(stats.invalidated, 1u);
-  // With source 24 (which the first chord drops) beside it, the budget is
-  // four passes: both edits are tested and source 1 stays.
-  stats = carry(two, {1, 24});
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.carry_passes, 4u);
-  EXPECT_EQ(stats.invalidated, 1u);
+  EXPECT_EQ(stats.invalidated, start.num_vertices());
+  EXPECT_EQ(stats.carry_passes, 0u);
 }
 
 TEST(DependencyMemoTest, MutateFiltersTheSharedWeightedMemoOnce) {

@@ -570,8 +570,9 @@ TEST(DynamicEquivalenceTest, OtherEstimatorsMatchColdAfterEdits) {
   }
 }
 
-// A weighted-graph sweep: the oracle invalidates wholesale there, but the
-// mutation contract (bit-identity with a cold engine) must still hold.
+// A weighted-graph sweep: the carry keeps the passes its reverse-Dijkstra
+// test proves untouched, and the mutation contract (bit-identity with a
+// cold engine) must hold across every script.
 TEST(DynamicEquivalenceTest, WeightedGraphMatchesColdAfterEdits) {
   const CsrGraph start =
       AssignUniformWeights(MakeConnectedCaveman(4, 7), 0.5, 2.0, 0x77);

@@ -24,6 +24,12 @@ class ServeProtocolTest : public ::testing::Test {
     auto graph = MakeDataset("caveman-36");
     ASSERT_TRUE(graph.ok());
     ASSERT_TRUE(catalog_
+                    .AddGraph("caveman-36-w",
+                              AssignUniformWeights(graph.value(), 1.0, 3.0,
+                                                   0xc4e),
+                              EngineOptions(), /*sessions=*/1)
+                    .ok());
+    ASSERT_TRUE(catalog_
                     .AddGraph("caveman-36", std::move(graph).value(),
                               EngineOptions(), /*sessions=*/1)
                     .ok());
@@ -200,68 +206,72 @@ TEST_F(ServeProtocolTest, MutateAddingTooManyVerticesIsFieldClass) {
 
 // `stats` reports the graph's dependency memo: a repeated estimate is served
 // from it (hits rise, inserts do not), and a mutate drops entries after two
-// reverse passes (one per endpoint of its one edit).
+// reverse passes (one per endpoint of its one edit), BFS on caveman-36 and
+// Dijkstra on its weighted copy.
 TEST_F(ServeProtocolTest, StatsReportTheGraphsMemo) {
   struct Memo {
     double entries = -1, capacity = -1, hits = -1, inserts = -1,
            invalidated = -1, carry_passes = -1;
   };
-  const auto read_memo = [this] {
-    Memo memo;
-    const std::string line =
-        server_->Call(R"({"method": "stats", "graph": "caveman-36"})");
-    const auto stats = ParseServeResponse(line);
-    EXPECT_TRUE(stats.ok()) << line;
-    if (!stats.ok()) return memo;
-    const JsonValue& graph =
-        stats.value().body.Find("result")->Find("graphs")->array.at(0);
-    const auto field = [&graph, &line](const char* name) {
-      const JsonValue* value = graph.Find(name);
-      EXPECT_NE(value, nullptr) << name << " missing: " << line;
-      return value == nullptr ? -1.0 : value->number_value;
+  for (const std::string name : {"caveman-36", "caveman-36-w"}) {
+    SCOPED_TRACE(name);
+    const auto read_memo = [this, &name] {
+      Memo memo;
+      const std::string line = server_->Call(
+          R"({"method": "stats", "graph": ")" + name + R"("})");
+      const auto stats = ParseServeResponse(line);
+      EXPECT_TRUE(stats.ok()) << line;
+      if (!stats.ok()) return memo;
+      const JsonValue& graph =
+          stats.value().body.Find("result")->Find("graphs")->array.at(0);
+      const auto field = [&graph, &line](const char* field_name) {
+        const JsonValue* value = graph.Find(field_name);
+        EXPECT_NE(value, nullptr) << field_name << " missing: " << line;
+        return value == nullptr ? -1.0 : value->number_value;
+      };
+      memo.entries = field("memo_entries");
+      memo.capacity = field("memo_capacity");
+      memo.hits = field("memo_hits");
+      memo.inserts = field("memo_inserts");
+      memo.invalidated = field("memo_invalidated");
+      memo.carry_passes = field("memo_carry_passes");
+      return memo;
     };
-    memo.entries = field("memo_entries");
-    memo.capacity = field("memo_capacity");
-    memo.hits = field("memo_hits");
-    memo.inserts = field("memo_inserts");
-    memo.invalidated = field("memo_invalidated");
-    memo.carry_passes = field("memo_carry_passes");
-    return memo;
-  };
-  const std::string estimate =
-      R"({"method": "estimate", "graph": "caveman-36", "vertices": [0, 8],)"
-      R"( "samples": 100, "seed": 5})";
+    const std::string estimate =
+        R"({"method": "estimate", "graph": ")" + name +
+        R"(", "vertices": [0, 8], "samples": 100, "seed": 5})";
 
-  const Memo fresh = read_memo();
-  EXPECT_EQ(fresh.entries, 0.0);
-  EXPECT_EQ(fresh.capacity, 36.0);  // 256 MiB holds every source
-  EXPECT_EQ(fresh.hits, 0.0);
-  EXPECT_EQ(fresh.inserts, 0.0);
-  EXPECT_EQ(fresh.invalidated, 0.0);
-  EXPECT_EQ(fresh.carry_passes, 0.0);
+    const Memo fresh = read_memo();
+    EXPECT_EQ(fresh.entries, 0.0);
+    EXPECT_EQ(fresh.capacity, 36.0);  // 256 MiB holds every source
+    EXPECT_EQ(fresh.hits, 0.0);
+    EXPECT_EQ(fresh.inserts, 0.0);
+    EXPECT_EQ(fresh.invalidated, 0.0);
+    EXPECT_EQ(fresh.carry_passes, 0.0);
 
-  ASSERT_TRUE(ParseServeResponse(server_->Call(estimate)).value().ok);
-  const Memo served = read_memo();
-  EXPECT_GT(served.inserts, 0.0);
-  EXPECT_EQ(served.entries, served.inserts);
+    ASSERT_TRUE(ParseServeResponse(server_->Call(estimate)).value().ok);
+    const Memo served = read_memo();
+    EXPECT_GT(served.inserts, 0.0);
+    EXPECT_EQ(served.entries, served.inserts);
 
-  ASSERT_TRUE(ParseServeResponse(server_->Call(estimate)).value().ok);
-  const Memo repeated = read_memo();
-  EXPECT_GT(repeated.hits, served.hits);
-  EXPECT_EQ(repeated.inserts, served.inserts);
-  EXPECT_EQ(repeated.entries, served.entries);
+    ASSERT_TRUE(ParseServeResponse(server_->Call(estimate)).value().ok);
+    const Memo repeated = read_memo();
+    EXPECT_GT(repeated.hits, served.hits);
+    EXPECT_EQ(repeated.inserts, served.inserts);
+    EXPECT_EQ(repeated.entries, served.entries);
 
-  auto graph = MakeDataset("caveman-36");
-  ASSERT_TRUE(graph.ok());
-  const VertexId neighbor = graph.value().neighbors(0)[0];
-  const std::string mutate =
-      R"({"method": "mutate", "graph": "caveman-36", "edits": "remove 0 )" +
-      std::to_string(neighbor) + R"("})";
-  ASSERT_TRUE(ParseServeResponse(server_->Call(mutate)).value().ok);
-  const Memo mutated = read_memo();
-  EXPECT_LT(mutated.entries, repeated.entries);
-  EXPECT_EQ(mutated.invalidated, repeated.entries - mutated.entries);
-  EXPECT_EQ(mutated.carry_passes, 2.0);
+    auto graph = MakeDataset("caveman-36");
+    ASSERT_TRUE(graph.ok());
+    const VertexId neighbor = graph.value().neighbors(0)[0];
+    const std::string mutate =
+        R"({"method": "mutate", "graph": ")" + name +
+        R"(", "edits": "remove 0 )" + std::to_string(neighbor) + R"("})";
+    ASSERT_TRUE(ParseServeResponse(server_->Call(mutate)).value().ok);
+    const Memo mutated = read_memo();
+    EXPECT_LT(mutated.entries, repeated.entries);
+    EXPECT_EQ(mutated.invalidated, repeated.entries - mutated.entries);
+    EXPECT_EQ(mutated.carry_passes, 2.0);
+  }
   ExpectStillServing();
 }
 
